@@ -12,14 +12,38 @@ from fractions import Fraction
 from .errors import InputError
 
 
+# Miller-Rabin with every prime base up to 41 is exact below this bound
+# (Sorenson and Webster, 2015).  Stopping at 37 would not be: it passes the
+# composite 318665857834031151167461.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
 def _is_prime(m):
+    """Deterministic Miller-Rabin; raises InputError at or above the bound
+    where the fixed bases are proven exact."""
+    if m >= _MR_LIMIT:
+        raise InputError("primality of %d is not decided below %d"
+                         % (m, _MR_LIMIT))
     if m < 2:
         return False
-    f = 2
-    while f * f <= m:
-        if m % f == 0:
+    for b in _MR_BASES:
+        if m % b == 0:
+            return m == b
+    d, s = m - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, m)
+        if x == 1 or x == m - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
             return False
-        f += 1
     return True
 
 

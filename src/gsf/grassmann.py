@@ -2,8 +2,10 @@
 of maximal minors, and the derived multivector families."""
 
 import importlib.resources
+import itertools
 import json
 import random
+from bisect import bisect_left
 
 from . import matrices
 from .errors import InputError, SamplingError
@@ -11,7 +13,6 @@ from .exterior import Multivector, contract, wedge
 from .field import field_from_json
 from .report import Stopwatch, VerificationReport
 from .combinatorics import check_n, complement
-import itertools
 
 
 def _perm_sign(seq):
@@ -160,34 +161,77 @@ def psi(x, i, j):
     return wedge(ei, wedge(ej, table.multivector()))
 
 
+def phi_row(table, c, q, subsets):
+    """Coefficients of phi(x, c, q) at the given ascending (n-1)-tuples K:
+    the minor at columns (c, q, K), zero where K meets {c, q}.
+
+    Reads the table directly; the sign of sorting (c, q, K) is the parity of
+    #(K < c) + #(K < q) + [c > q]."""
+    entries, neg, zero = table.entries, table.field.neg, table.field.zero
+    flip = c > q
+    out = []
+    for k in subsets:
+        if c in k or q in k:
+            out.append(zero)
+            continue
+        value = entries[tuple(sorted(k + (c, q)))]
+        odd = flip ^ ((bisect_left(k, c) + bisect_left(k, q)) & 1)
+        out.append(neg(value) if odd else value)
+    return out
+
+
+def psi_row(table, c, q, subsets):
+    """Coefficients of psi(x, c, q) at the given ascending (n+3)-tuples M:
+    the minor at L = M without c and q, signed as the sort of (c, q, L), and
+    zero unless M holds both c and q."""
+    entries, neg, zero = table.entries, table.field.neg, table.field.zero
+    flip = c > q
+    out = []
+    for m in subsets:
+        if c not in m or q not in m:
+            out.append(zero)
+            continue
+        rest = tuple(v for v in m if v != c and v != q)
+        value = entries[rest]
+        odd = flip ^ ((bisect_left(rest, c) + bisect_left(rest, q)) & 1)
+        out.append(neg(value) if odd else value)
+    return out
+
+
 def verify_plucker_relations(x):
     """Quadratic relations among the minors, one family per label q, column
-    j and (n-1)-subset b of the labels."""
+    j and (n-1)-subset b of the labels.
+
+    For fixed (q, j) the second factor of every term is independent of b,
+    so each family is one linear combination of phi rows; b containing q
+    leave every term zero and are not visited."""
     watch = Stopwatch()
     table = as_table(x)
     n, field = table.n, table.field
     zero = field.zero
     report = VerificationReport("plucker", {"n": n})
+    subsets = list(itertools.combinations(range(1, 2 * n + 2), n - 1))
     for q in range(1, 2 * n + 2):
         a = complement(n, q)
         evens = [a[2 * i + 1] for i in range(n)]
+        ks = [k for k in subsets if q not in k]
+        rows = {c: phi_row(table, c, q, ks) for c in a}
+        first = table.signed(evens + [q])
         for j in range(1, n + 1):
             head = a[2 * j - 2]
-            for b in itertools.combinations(range(1, 2 * n + 2), n - 1):
-                acc = field.mul(table.signed((head, q) + b),
-                                table.signed(evens + [q]))
-                for i in range(1, n + 1):
-                    rest = [x2 for x2 in evens if x2 != a[2 * i - 1]]
-                    term = field.mul(table.signed((a[2 * i - 1], q) + b),
-                                     table.signed([head] + rest + [q]))
-                    if i % 2:
-                        term = field.neg(term)
-                    acc = field.add(acc, term)
-                if acc != zero:
-                    report.status = "fail"
-                    report.witness = {"q": q, "j": j, "b": list(b)}
-                    report.millis = watch.millis()
-                    return report
+            weights = [first]
+            for i in range(1, n + 1):
+                rest = [x2 for x2 in evens if x2 != a[2 * i - 1]]
+                second = table.signed([head] + rest + [q])
+                weights.append(field.neg(second) if i % 2 else second)
+            acc = matrices.combine(field, weights,
+                                   [rows[head]] + [rows[e] for e in evens])
+            t = next((t for t, v in enumerate(acc) if v != zero), None)
+            if t is not None:
+                report.status = "fail"
+                report.witness = {"q": q, "j": j, "b": list(ks[t])}
+                report.millis = watch.millis()
+                return report
     report.millis = watch.millis()
     return report
 
@@ -202,6 +246,18 @@ def point_to_json(point):
     return out
 
 
+def _integer(value, what):
+    """An integer given in JSON as a number or as decimal text."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str):
+        try:
+            return int(value, 10)
+        except ValueError:
+            pass
+    raise InputError("%s must be an integer, got %r" % (what, value))
+
+
 def point_from_json(obj):
     try:
         field = field_from_json(obj["field"])
@@ -213,11 +269,15 @@ def point_from_json(obj):
         n = len(matrix) - 1
         check_n(n)
         table = pluecker_table(field, matrix)
-        for rec in obj["pluecker"]:
-            table = table.with_entry(tuple(int(i) for i in rec["indices"]),
-                                     field.parse(rec["value"]))
+        try:
+            for rec in obj["pluecker"]:
+                indices = tuple(_integer(i, "a minor index")
+                                for i in rec["indices"])
+                table = table.with_entry(indices, field.parse(rec["value"]))
+        except (KeyError, TypeError) as e:
+            raise InputError("malformed pluecker record") from e
     point = GrassmannPoint(field, matrix, table)
-    if "n" in obj and int(obj["n"]) != point.n:
+    if "n" in obj and _integer(obj["n"], "n") != point.n:
         raise InputError("declared n does not match the matrix shape")
     return point
 

@@ -81,8 +81,15 @@ def maximal_minors(field, rows):
     return prev
 
 
-def det(field, rows):
-    return maximal_minors(field, rows)[tuple(range(len(rows)))]
+def combine(field, weights, rows):
+    """The linear combination sum of weights[i] * rows[i], entry by entry."""
+    add, mul, zero = field.add, field.mul, field.zero
+    out = [zero] * len(rows[0])
+    for w, row in zip(weights, rows):
+        if w != zero:
+            out = [add(o, mul(w, v)) if v != zero else o
+                   for o, v in zip(out, row)]
+    return out
 
 
 def rank(field, rows):

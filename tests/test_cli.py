@@ -184,6 +184,37 @@ def test_verify_flags_a_corrupted_table(capsys, tmp_path, trigon_point):
     assert failed and all(r["witness"] is not None for r in failed)
 
 
+@pytest.mark.parametrize("edit", [
+    {"pluecker": [{"value": "1"}]},
+    {"pluecker": [{"indices": [1, 2]}]},
+    {"pluecker": [{"indices": ["a", 2], "value": "1"}]},
+    {"pluecker": [{"indices": [1.5, 2], "value": "1"}]},
+    {"pluecker": [[1, 2]]},
+    {"pluecker": 7},
+    {"n": "x"},
+    {"n": 1.0},
+], ids=["no-indices", "no-value", "text-index", "float-index",
+        "record-not-object", "list-not-array", "n-text", "n-float"])
+def test_verify_malformed_point_exits_2(capsys, tmp_path, trigon_point, edit):
+    obj = json.load(open(trigon_point))
+    obj.update(edit)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    code, out, err = run(capsys, ["verify", "--point", str(bad)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+def test_gen_over_a_61_bit_prime_field(capsys, monkeypatch):
+    monkeypatch.delenv("GSF_SEED", raising=False)
+    code, out, _ = run(capsys, ["gen", "--n", "1", "--field",
+                                "gf(2305843009213693951)"])
+    assert code == 0
+    assert json.loads(out)["field"] == {"kind": "prime",
+                                        "p": 2305843009213693951}
+
+
 def test_verify_output_is_stable_up_to_timing(capsys, monkeypatch, trigon_point):
     monkeypatch.delenv("GSF_SEED", raising=False)
 

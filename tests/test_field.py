@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from gsf.errors import InputError
 from gsf.field import (ExtensionField, PrimeField, RationalField,
-                       field_create, field_from_json)
+                       _is_prime, field_create, field_from_json)
 
 GF4 = "gf(2,2;1,1,1)"
 GF9 = "gf(3,2;1,0,1)"
@@ -160,6 +160,40 @@ def test_rejects_bad_constructions():
         field_from_json({"kind": "martian"})
     with pytest.raises(InputError):
         field_from_json({"kind": "extension", "p": 2})
+
+
+def test_is_prime_agrees_with_trial_division_below_5000():
+    def by_division(m):
+        return m >= 2 and all(m % f for f in range(2, int(m ** 0.5) + 1))
+
+    for m in range(-3, 5000):
+        assert _is_prime(m) == by_division(m), m
+
+
+def test_is_prime_rejects_carmichael_numbers_and_strong_pseudoprimes():
+    carmichael = [561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265,
+                  321197185, 5394826801, 232250619601, 9746347772161]
+    # strong pseudoprimes to every prime base up to 7, 23 and 37
+    strong = [3215031751, 3825123056546413051, 318665857834031151167461]
+    for m in carmichael + strong:
+        assert not _is_prime(m), m
+
+
+def test_is_prime_on_large_primes():
+    for p in (2 ** 31 - 1, 1000003, 2 ** 61 - 1, 2 ** 64 - 59,
+              2 ** 79 - 67):
+        assert _is_prime(p), p
+    assert not _is_prime((2 ** 31 - 1) * 1000003)
+
+
+def test_is_prime_refuses_numbers_past_the_proven_bound():
+    assert _is_prime(3317044064679887385961813)       # largest below it
+    assert not _is_prime(3317044064679887385961979)   # 17 x 1709 x ...
+    for m in (3317044064679887385961981, 2 ** 89 - 1):
+        with pytest.raises(InputError):
+            _is_prime(m)
+    with pytest.raises(InputError):
+        field_create("gf(%d)" % (2 ** 89 - 1))
 
 
 def test_extension_values_stay_reduced():
