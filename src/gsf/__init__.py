@@ -21,9 +21,9 @@ from .grassmann import (GrassmannPoint, PlueckerTable, as_table,
                         pluecker_table, point_from_json, point_to_json, psi,
                         random_point, save_point, verify_plucker_relations)
 from .report import VerificationReport
-from .solutions import (OperatorSlot, build_A, build_B, build_R, build_Z,
-                        factored_r_matrix, gon_inverse_slot, gon_slot,
-                        reduce_matrix, reduced_slot, simplex_slot)
+from .solutions import (Construction, OperatorSlot, build_A, build_B,
+                        build_R, build_Z, factored_r_matrix, gon_inverse_slot,
+                        gon_slot, reduce_matrix, reduced_slot, simplex_slot)
 from .verify import (CHECK_NAMES, embed, green_spectrum, run_checks,
                      side_product, verify_colors, verify_gon,
                      verify_intertwining, verify_ranks, verify_reduction,
@@ -45,7 +45,7 @@ __all__ = [
     "random_point", "phi", "psi", "assumption_check",
     "verify_plucker_relations", "point_to_json", "point_from_json",
     "load_point", "save_point", "gf4_point",
-    "OperatorSlot", "build_A", "build_B", "build_R", "build_Z",
+    "Construction", "OperatorSlot", "build_A", "build_B", "build_R", "build_Z",
     "factored_r_matrix", "reduce_matrix", "gon_slot", "gon_inverse_slot",
     "simplex_slot", "reduced_slot",
     "VerificationReport",

@@ -16,8 +16,8 @@ from .combinatorics import (color_positions, gon_positions, sim_sequence,
 from .errors import ConstructionError, InputError, SamplingError
 from .field import field_create
 from .grassmann import load_point, point_to_json, random_point, save_point
-from .solutions import (build_A, build_B, build_R, build_Z, gon_slot,
-                        gon_inverse_slot, reduced_slot, simplex_slot)
+from .solutions import (Construction, gon_slot, gon_inverse_slot,
+                        reduced_slot, simplex_slot)
 from .verify import CHECK_NAMES, run_checks
 
 
@@ -75,9 +75,10 @@ def cmd_build(args):
             raise InputError("label %d out of range 1..%d" % (labels[0], top))
     fmt = field.fmt
     builder = _slot_builder(args.what)
+    con = Construction(point)
     entries = {}
     for q in labels:
-        slot = builder(point, q, *extra)
+        slot = builder(con, q, *extra)
         entries[str(q)] = {
             "matrix": [[fmt(v) for v in row] for row in slot.matrix],
             "positions": list(slot.positions),

@@ -268,14 +268,18 @@ def point_from_json(obj):
     if "pluecker" in obj:
         n = len(matrix) - 1
         check_n(n)
-        table = pluecker_table(field, matrix)
+        entries = dict(pluecker_table(field, matrix).entries)
         try:
             for rec in obj["pluecker"]:
                 indices = tuple(_integer(i, "a minor index")
                                 for i in rec["indices"])
-                table = table.with_entry(indices, field.parse(rec["value"]))
+                value = field.parse(rec["value"])
+                if indices not in entries:
+                    raise InputError("no minor at columns %r" % (indices,))
+                entries[indices] = value
         except (KeyError, TypeError) as e:
             raise InputError("malformed pluecker record") from e
+        table = PlueckerTable(field, n, entries)
     point = GrassmannPoint(field, matrix, table)
     if "n" in obj and _integer(obj["n"], "n") != point.n:
         raise InputError("declared n does not match the matrix shape")

@@ -29,19 +29,42 @@ def is_identity(field, rows):
     return mat_eq(rows, identity(field, len(rows)))
 
 
+def sparse_columns(field, rows):
+    """Each column of the matrix as the list of its nonzero entries, given
+    as (row index, value) pairs in ascending row order."""
+    zero = field.zero
+    return [[(i, v) for i, v in enumerate(col) if v != zero]
+            for col in zip(*rows)]
+
+
+def row_product(field, row, cols):
+    """The row vector times the matrix whose sparse_columns are cols, or
+    None when the row is all zero.
+
+    Each entry of the row is tested against zero once and only nonzero
+    pairs are multiplied, summed in ascending order."""
+    zero = field.zero
+    live = [v != zero for v in row]
+    if not any(live):
+        return None
+    add, mul = field.add, field.mul
+    out = []
+    for col in cols:
+        acc = None
+        for i, v in col:
+            if live[i]:
+                term = mul(row[i], v)
+                acc = term if acc is None else add(acc, term)
+        out.append(zero if acc is None else acc)
+    return out
+
+
 def mat_mul(field, a, b):
-    add, mul, zero = field.add, field.mul, field.zero
-    cols = list(zip(*b))
+    cols = sparse_columns(field, b)
     out = []
     for row in a:
-        orow = []
-        for col in cols:
-            acc = zero
-            for x, y in zip(row, col):
-                if x != zero and y != zero:
-                    acc = add(acc, mul(x, y))
-            orow.append(acc)
-        out.append(orow)
+        prod = row_product(field, row, cols)
+        out.append([field.zero] * len(cols) if prod is None else prod)
     return out
 
 

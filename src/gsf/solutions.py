@@ -3,12 +3,16 @@
 Every family is indexed by a label q in 1..2n+1.  The n x n blocks A and B
 are mutual inverses, the 2n x 2n checkerboard matrix R interleaves them, and
 Z is the one-parameter reduction of R that drops the last row and column.
+
+A Construction holds the families of one table for the length of one call
+and builds each of them at most once; every builder and slot helper takes a
+point, a table or a Construction.
 """
 
 from dataclasses import dataclass
 
 from . import matrices
-from .combinatorics import check_n, complement, gon_positions, simplex_positions
+from .combinatorics import complement, gon_positions, simplex_positions
 from .errors import ConstructionError, InputError, ReductionError, StructuralError
 from .grassmann import as_table
 
@@ -66,17 +70,87 @@ def _family_matrix(table, q, use_evens):
     return out
 
 
+# the errors a Construction keeps (as type and arguments) in place of a value
+_KEPT_ERRORS = (ConstructionError, InputError, ReductionError, StructuralError)
+
+
+class Construction:
+    """The operator families of one minor table, each built on first use.
+
+    It holds A(q) and B(q), with A.B = I checked once per q, R(q) and the
+    slot positions, plus whatever a caller files under `cached`.  A build
+    that raises is kept as that raise, so asking again fails the same way.
+    Z is not kept: no caller asks for the same (q, lam) twice.  Meant to
+    live for one call: nothing is stored on the point or table.  The values
+    handed out are shared and must not be mutated.
+    """
+
+    def __init__(self, x):
+        self.table = as_table(x)
+        self.n = self.table.n
+        self.field = self.table.field
+        self._memo = {}
+
+    def cached(self, key, make):
+        """make(), called on the first request for key only.
+
+        A raise is kept as its type and arguments, not as the exception:
+        the traceback would tie this object into a reference cycle, and
+        every failed build would then hold its frames until the cyclic
+        garbage collector runs."""
+        try:
+            ok, value = self._memo[key]
+        except KeyError:
+            try:
+                value = make()
+            except _KEPT_ERRORS as e:
+                self._memo[key] = False, (type(e), e.args)
+                raise
+            self._memo[key] = True, value
+            return value
+        if not ok:
+            kind, args = value
+            raise kind(*args)
+        return value
+
+    def forget(self, *kinds):
+        """Drop the kept values whose key starts with one of the kinds."""
+        for key in [k for k in self._memo if k[0] in kinds]:
+            del self._memo[key]
+
+    def A(self, q):
+        return self.cached(("A", q), lambda: build_A(self, q))
+
+    def B(self, q):
+        return self.cached(("B", q), lambda: build_B(self, q))
+
+    def R(self, q):
+        return self.cached(("R", q), lambda: build_R(self, q))
+
+    def gon_positions(self, q):
+        return self.cached(("gon positions", q),
+                           lambda: tuple(gon_positions(self.n, q)))
+
+    def simplex_positions(self, size, q):
+        return self.cached(("simplex positions", size, q),
+                           lambda: tuple(simplex_positions(size, q)))
+
+
+def construction(x):
+    """x itself if it is a Construction, else a new one for x."""
+    return x if isinstance(x, Construction) else Construction(x)
+
+
 def build_A(x, q):
-    table = as_table(x)
-    return _family_matrix(table, q, use_evens=False)
+    return _family_matrix(construction(x).table, q, use_evens=False)
 
 
 def build_B(x, q):
     """Inverse of the A block, built from the complementary minors."""
-    table = as_table(x)
-    out = _family_matrix(table, q, use_evens=True)
-    prod = matrices.mat_mul(table.field, build_A(x, q), out)
-    if not matrices.is_identity(table.field, prod):
+    con = construction(x)
+    out = _family_matrix(con.table, q, use_evens=True)
+    prod = matrices.mat_mul(con.field, con.A(q), out)
+    if not matrices.is_identity(con.field, prod):
         raise StructuralError("A and B blocks at q=%d are not inverse" % q)
     return out
 
@@ -84,11 +158,11 @@ def build_B(x, q):
 def build_R(x, q):
     """2n x 2n matrix with A on the odd-row/even-column checkerboard and B on
     the even-row/odd-column one."""
-    table = as_table(x)
-    n, field = table.n, table.field
-    a_block = build_A(x, q)
-    b_block = build_B(x, q)
-    out = [[field.zero] * (2 * n) for _ in range(2 * n)]
+    con = construction(x)
+    n = con.n
+    a_block = con.A(q)
+    b_block = con.B(q)
+    out = [[con.field.zero] * (2 * n) for _ in range(2 * n)]
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             out[2 * i - 2][2 * j - 1] = a_block[i - 1][j - 1]
@@ -108,12 +182,12 @@ def _swap_permutation(field, dim, count):
 def factored_r_matrix(x, q):
     """R as a product: A embedded at the odd positions, B at the even ones,
     then the pairwise swap."""
-    table = as_table(x)
-    n, field = table.n, table.field
+    con = construction(x)
+    n, field = con.n, con.field
     odds = list(range(1, 2 * n, 2))
     evens = list(range(2, 2 * n + 1, 2))
-    ae = matrices.embed_block(field, build_A(x, q), odds, 2 * n)
-    be = matrices.embed_block(field, build_B(x, q), evens, 2 * n)
+    ae = matrices.embed_block(field, con.A(q), odds, 2 * n)
+    be = matrices.embed_block(field, con.B(q), evens, 2 * n)
     swap = _swap_permutation(field, 2 * n, 2 * n)
     return matrices.mat_mul(field, matrices.mat_mul(field, ae, be), swap)
 
@@ -148,20 +222,20 @@ def build_Z(x, q, lam):
     Built two ways and compared: as the embedded product A P Lambda B, and by
     eliminating the last row and column of R.
     """
-    table = as_table(x)
-    n, field = table.n, table.field
+    con = construction(x)
+    n, field = con.n, con.field
     if not 1 <= q <= 2 * n:
         raise InputError("reduced operators exist for q in 1..%d" % (2 * n))
     dim = 2 * n - 1
     odds = list(range(1, 2 * n, 2))
-    ae = matrices.embed_block(field, build_A(x, q), odds, dim)
-    be = matrices.embed_block(field, build_B(x, q), odds, dim)
+    ae = matrices.embed_block(field, con.A(q), odds, dim)
+    be = matrices.embed_block(field, con.B(q), odds, dim)
     swap = _swap_permutation(field, dim, 2 * n - 2)
     scale = matrices.identity(field, dim)
     scale[dim - 1][dim - 1] = lam
     closed = matrices.mat_mul(field, matrices.mat_mul(
         field, matrices.mat_mul(field, ae, swap), scale), be)
-    eliminated = reduce_matrix(field, build_R(x, q), lam)
+    eliminated = reduce_matrix(field, con.R(q), lam)
     if not matrices.mat_eq(closed, eliminated):
         raise StructuralError(
             "factored and eliminated reductions disagree at q=%d" % q)
@@ -169,25 +243,25 @@ def build_Z(x, q, lam):
 
 
 def gon_slot(x, q):
-    table = as_table(x)
-    return OperatorSlot(q, "A", matrices.freeze(build_A(x, q)),
-                        tuple(gon_positions(table.n, q)), table.field)
+    con = construction(x)
+    return OperatorSlot(q, "A", matrices.freeze(con.A(q)),
+                        con.gon_positions(q), con.field)
 
 
 def gon_inverse_slot(x, q):
-    table = as_table(x)
-    return OperatorSlot(q, "B", matrices.freeze(build_B(x, q)),
-                        tuple(gon_positions(table.n, q)), table.field)
+    con = construction(x)
+    return OperatorSlot(q, "B", matrices.freeze(con.B(q)),
+                        con.gon_positions(q), con.field)
 
 
 def simplex_slot(x, q):
-    table = as_table(x)
-    return OperatorSlot(q, "R", matrices.freeze(build_R(x, q)),
-                        tuple(simplex_positions(2 * table.n, q)), table.field)
+    con = construction(x)
+    return OperatorSlot(q, "R", matrices.freeze(con.R(q)),
+                        con.simplex_positions(2 * con.n, q), con.field)
 
 
 def reduced_slot(x, q, lam):
-    table = as_table(x)
-    return OperatorSlot(q, "Z", matrices.freeze(build_Z(x, q, lam)),
-                        tuple(simplex_positions(2 * table.n - 1, q)),
-                        table.field, lam)
+    con = construction(x)
+    return OperatorSlot(q, "Z", matrices.freeze(build_Z(con, q, lam)),
+                        con.simplex_positions(2 * con.n - 1, q), con.field,
+                        lam)

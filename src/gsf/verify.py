@@ -5,19 +5,22 @@ Every check returns a VerificationReport; nothing here is approximate, a
 single wrong entry flips the status to "fail" and is recorded as a witness.
 A broken input (say a corrupted minor table that spoils the inverse pair)
 also comes back as a fail report rather than an exception.
+
+The equation checks take a point, a table or a solutions.Construction;
+run_checks hands one Construction to all of them, so that the operators
+and the equation sides they share are built once per call.
 """
 
 import itertools
 
 from . import matrices
 from .combinatorics import (complement, color_classes, gon_factor_labels,
-                            gon_inverse_factor_labels, simplex_factor_labels,
-                            simplex_positions)
+                            gon_inverse_factor_labels, simplex_factor_labels)
 from .errors import ConstructionError, InputError, ReductionError, StructuralError
-from .grassmann import (as_table, assumption_check, phi_row, psi_row,
+from .grassmann import (assumption_check, phi_row, psi_row,
                         verify_plucker_relations)
 from .report import Stopwatch, VerificationReport
-from .solutions import (OperatorSlot, build_A, build_B, build_Z,
+from .solutions import (Construction, OperatorSlot, build_Z, construction,
                         gon_inverse_slot, gon_slot, reduce_matrix,
                         simplex_slot)
 
@@ -53,8 +56,9 @@ def embed(slot, dim):
 def side_product(slots, dim):
     """Product of the embedded slots, leftmost factor applied first to rows.
 
-    Updates only the touched columns of each row, so the cost per slot is
-    dim times the block size squared.
+    Only the touched columns of a row change, and a row whose touched
+    entries all vanish does not change at all; the block's nonzero entries
+    are listed once per slot (see matrices.row_product).
     """
     slots = list(slots)
     if not slots:
@@ -65,17 +69,13 @@ def side_product(slots, dim):
         if slot.positions[-1] > dim:
             raise InputError(
                 "slot positions exceed the ambient dimension %d" % dim)
-        block = slot.matrix
-        m = len(block)
-        add, mul, zero = field.add, field.mul, field.zero
+        at = [p - 1 for p in slot.positions]
+        cols = matrices.sparse_columns(field, slot.matrix)
         for row in out:
-            vals = [row[p - 1] for p in slot.positions]
-            for j in range(m):
-                acc = zero
-                for i in range(m):
-                    if vals[i] != zero and block[i][j] != zero:
-                        acc = add(acc, mul(vals[i], block[i][j]))
-                row[slot.positions[j] - 1] = acc
+            prod = matrices.row_product(field, [row[p] for p in at], cols)
+            if prod is not None:
+                for p, v in zip(at, prod):
+                    row[p] = v
     return out
 
 
@@ -89,49 +89,59 @@ def _require_equal(context, field, lhs, rhs):
                                      rhs=field.fmt(v)))
 
 
+def _gon_side(con, kind, labels):
+    """Product of the polygon factors A (kind "A") or B (kind "B") at the
+    labels, in their order; built once per construction."""
+    slot = gon_slot if kind == "A" else gon_inverse_slot
+    dim = con.n * (con.n + 1) // 2
+    return con.cached(
+        ("gon side", kind, tuple(labels)),
+        lambda: side_product([slot(con, q) for q in labels], dim))
+
+
+def _simplex_sides(con):
+    """Both sides of the simplex equation; built once per construction."""
+    def make():
+        n = con.n
+        dim = n * (2 * n + 1)
+        lhs_q, rhs_q = simplex_factor_labels(2 * n)
+        slots = {q: simplex_slot(con, q) for q in lhs_q}
+        return (side_product([slots[q] for q in lhs_q], dim),
+                side_product([slots[q] for q in rhs_q], dim))
+    return con.cached(("simplex sides",), make)
+
+
 def verify_gon(x):
     """Both polygon equations: ascending odd A factors against descending
     even ones, and ascending even B factors against descending odd ones."""
     watch = Stopwatch()
-    table = as_table(x)
-    n, field = table.n, table.field
+    con = construction(x)
+    n, field = con.n, con.field
     dim = n * (n + 1) // 2
     report = VerificationReport("gon", {"n": n, "dim": dim})
 
     def body():
         lhs_q, rhs_q = gon_factor_labels(n)
-        lhs = side_product([gon_slot(x, q) for q in lhs_q], dim)
-        rhs = side_product([gon_slot(x, q) for q in rhs_q], dim)
-        _require_equal({"part": "direct"}, field, lhs, rhs)
+        _require_equal({"part": "direct"}, field, _gon_side(con, "A", lhs_q),
+                       _gon_side(con, "A", rhs_q))
         inv_lhs_q, inv_rhs_q = gon_inverse_factor_labels(n)
-        inv_lhs = side_product([gon_inverse_slot(x, q) for q in inv_lhs_q], dim)
-        inv_rhs = side_product([gon_inverse_slot(x, q) for q in inv_rhs_q], dim)
-        _require_equal({"part": "inverse"}, field, inv_lhs, inv_rhs)
+        _require_equal({"part": "inverse"}, field,
+                       _gon_side(con, "B", inv_lhs_q),
+                       _gon_side(con, "B", inv_rhs_q))
 
     return _finish(report, watch, body)
-
-
-def _simplex_sides(x):
-    table = as_table(x)
-    n = table.n
-    dim = n * (2 * n + 1)
-    lhs_q, rhs_q = simplex_factor_labels(2 * n)
-    slots = {q: simplex_slot(x, q) for q in lhs_q}
-    lhs = side_product([slots[q] for q in lhs_q], dim)
-    rhs = side_product([slots[q] for q in rhs_q], dim)
-    return lhs, rhs, dim
 
 
 def verify_simplex(x):
     """The simplex equation for the checkerboard matrices."""
     watch = Stopwatch()
-    table = as_table(x)
+    con = construction(x)
     report = VerificationReport(
-        "simplex", {"n": table.n, "dim": table.n * (2 * table.n + 1)})
+        "simplex", {"n": con.n, "dim": con.n * (2 * con.n + 1)})
 
     def body():
-        lhs, rhs, _ = _simplex_sides(x)
-        _require_equal({"part": "sides"}, table.field, lhs, rhs)
+        lhs, rhs = _simplex_sides(con)
+        _require_equal({"part": "sides"}, con.field, lhs, rhs)
 
     return _finish(report, watch, body)
 
@@ -147,15 +157,15 @@ def verify_colors(x):
     the mixed block must be off-diagonal with mutually inverse corners, and
     those corners must reproduce the polygon products."""
     watch = Stopwatch()
-    table = as_table(x)
-    n, field = table.n, table.field
+    con = construction(x)
+    n, field = con.n, con.field
     zero = field.zero
     report = VerificationReport("colors", {"n": n})
 
     def body():
         classes = color_classes(n)
         blue, red, green = classes["blue"], classes["red"], classes["green"]
-        lhs, rhs, _ = _simplex_sides(x)
+        lhs, rhs = _simplex_sides(con)
         for part, side in (("lhs", lhs), ("rhs", rhs)):
             for i in blue + red:
                 for j in green:
@@ -173,16 +183,13 @@ def verify_colors(x):
         prod = matrices.mat_mul(field, blue_to_red, red_to_blue)
         if not matrices.is_identity(field, prod):
             raise _Mismatch({"part": "mixed corners not inverse"})
-        dim = n * (n + 1) // 2
         lhs_q, _ = gon_factor_labels(n)
-        gon_lhs = side_product([gon_slot(x, q) for q in lhs_q], dim)
         _require_equal({"part": "blue-to-red corner vs polygon product"},
-                       field, blue_to_red, gon_lhs)
+                       field, blue_to_red, _gon_side(con, "A", lhs_q))
         inv_lhs_q, _ = gon_inverse_factor_labels(n)
-        inv_lhs = side_product([gon_inverse_slot(x, q) for q in inv_lhs_q], dim)
         _require_equal(
             {"part": "red-to-blue corner vs inverse polygon product"},
-            field, red_to_blue, inv_lhs)
+            field, red_to_blue, _gon_side(con, "B", inv_lhs_q))
 
     return _finish(report, watch, body)
 
@@ -192,13 +199,13 @@ def green_spectrum(x):
     away from characteristic 2 it has rank(G - I) = n(n-1)/2 and
     rank(G + I) = n(n+1)/2."""
     watch = Stopwatch()
-    table = as_table(x)
-    n, field = table.n, table.field
+    con = construction(x)
+    n, field = con.n, con.field
     report = VerificationReport("green", {"n": n})
 
     def body():
         green = color_classes(n)["green"]
-        lhs, _, _ = _simplex_sides(x)
+        lhs, _ = _simplex_sides(con)
         g = _submatrix(lhs, green, green)
         if not matrices.is_identity(field, matrices.mat_mul(field, g, g)):
             raise _Mismatch({"part": "green block is not an involution"})
@@ -238,8 +245,8 @@ def verify_intertwining(x):
     sum_j A_ij psi(a_2j) = psi(a_2i-1) and sum_j B_ij psi(a_2j-1) = psi(a_2i),
     each phi and psi taken at (., q) and compared as coefficient rows."""
     watch = Stopwatch()
-    table = as_table(x)
-    n, field = table.n, table.field
+    con = construction(x)
+    table, n, field = con.table, con.n, con.field
     report = VerificationReport("intertwining", {"n": n})
     labels = range(1, 2 * n + 2)
     ks_all = list(itertools.combinations(labels, n - 1))
@@ -250,8 +257,8 @@ def verify_intertwining(x):
     def body():
         for q in labels:
             a = complement(n, q)
-            a_block = build_A(x, q)
-            b_block = build_B(x, q)
+            a_block = con.A(q)
+            b_block = con.B(q)
             ks = [k for k in ks_all if q not in k]
             ms = [m for m in ms_all if q in m]
             phi_odd = [phi_row(table, c, q, ks) for c in a[0::2]]
@@ -279,7 +286,7 @@ def verify_ranks(x):
     coefficient rows.  A family that mixes labels q is indexed by every
     subset of one size, since zero columns leave the rank alone."""
     watch = Stopwatch()
-    table = as_table(x)
+    table = construction(x).table
     n, field = table.n, table.field
     report = VerificationReport("ranks", {"n": n})
 
@@ -321,8 +328,8 @@ def verify_reduction(x, lambdas=None, depth=1):
     satisfy the simplex equation of size 2n-k, for every given parameter.
     A singular reduction pivot is reported as a failure with its level."""
     watch = Stopwatch()
-    table = as_table(x)
-    n, field = table.n, table.field
+    con = construction(x)
+    n, field = con.n, con.field
     if depth < 1 or depth > 2 * n - 1:
         raise InputError("depth must lie in 1..%d" % (2 * n - 1))
     if lambdas is None:
@@ -343,7 +350,7 @@ def verify_reduction(x, lambdas=None, depth=1):
                 nxt = {}
                 for q in labels:
                     try:
-                        nxt[q] = (build_Z(x, q, lam) if level == 1
+                        nxt[q] = (build_Z(con, q, lam) if level == 1
                                   else reduce_matrix(field, mats[q], lam))
                     except ReductionError:
                         raise _Mismatch({"q": q, "level": level,
@@ -352,7 +359,7 @@ def verify_reduction(x, lambdas=None, depth=1):
                 mats = nxt
                 dim = size * (size + 1) // 2
                 slots = [OperatorSlot(q, "Z", matrices.freeze(mats[q]),
-                                      tuple(simplex_positions(size, q)),
+                                      con.simplex_positions(size, q),
                                       field, lam)
                          for q in range(1, size + 2)]
                 lhs = side_product(slots, dim)
@@ -366,26 +373,38 @@ def verify_reduction(x, lambdas=None, depth=1):
 # Each entry looks its check up by name when called, so a rebinding of the
 # module attribute (a tracer's wrapper, say) is honoured.
 _CHECKS = {
-    "assumption": lambda x, **_: assumption_check(x),
-    "plucker": lambda x, **_: verify_plucker_relations(x),
-    "gon": lambda x, **_: verify_gon(x),
-    "simplex": lambda x, **_: verify_simplex(x),
-    "colors": lambda x, **_: verify_colors(x),
-    "green": lambda x, **_: green_spectrum(x),
-    "intertwining": lambda x, **_: verify_intertwining(x),
-    "ranks": lambda x, **_: verify_ranks(x),
-    "reduction": lambda x, **kw: verify_reduction(x, **kw),
+    "assumption": lambda con, **_: assumption_check(con.table),
+    "plucker": lambda con, **_: verify_plucker_relations(con.table),
+    "gon": lambda con, **_: verify_gon(con),
+    "simplex": lambda con, **_: verify_simplex(con),
+    "colors": lambda con, **_: verify_colors(con),
+    "green": lambda con, **_: green_spectrum(con),
+    "intertwining": lambda con, **_: verify_intertwining(con),
+    "ranks": lambda con, **_: verify_ranks(con),
+    "reduction": lambda con, **kw: verify_reduction(con, **kw),
 }
 
 CHECK_NAMES = tuple(_CHECKS)
 
+# the checks that read the shared equation sides
+_SIDE_READERS = {"gon", "simplex", "colors", "green"}
+
 
 def run_checks(x, checks=None, lambdas=None, depth=1):
-    """Run the named checks (all of them by default) and return the reports."""
-    if checks is None:
-        checks = CHECK_NAMES
+    """Run the named checks (all of them by default) and return the reports.
+
+    The checks share one Construction, made for this call and dropped with
+    it, so each operator, position list and equation side is built once;
+    the sides are dropped as soon as no later check reads them."""
+    checks = CHECK_NAMES if checks is None else list(checks)
     unknown = [c for c in checks if c not in CHECK_NAMES]
     if unknown:
         raise InputError("unknown checks: %s" % ", ".join(unknown))
-    return [_CHECKS[name](x, lambdas=lambdas, depth=depth)
-            for name in checks]
+    con = Construction(x)
+    reports = []
+    for t, name in enumerate(checks):
+        reports.append(_CHECKS[name](con, lambdas=lambdas, depth=depth))
+        if not _SIDE_READERS.intersection(checks[t + 1:]):
+            # no later check reads them; free them for the ones that remain
+            con.forget("gon side", "simplex sides")
+    return reports

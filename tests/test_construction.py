@@ -1,0 +1,292 @@
+"""The per-call Construction and the zero-skipping product kernel.
+
+`side_product` and `mat_mul` are held to a plain embedded triple-loop
+product on zero-heavy blocks.  `run_checks`, which shares one Construction
+across all checks, is held to each check called alone, on honest tables and
+on corrupted ones.
+"""
+
+import copy
+import json
+import random
+
+import pytest
+
+from gsf import cli, matrices, solutions, verify
+from gsf.errors import ConstructionError, SamplingError, StructuralError
+from gsf.field import field_create
+from gsf.grassmann import GrassmannPoint, random_point, save_point
+from gsf.solutions import Construction, OperatorSlot
+
+FIELDS = ["q", "gf(11)", "gf(7,2;1,0,1)", "gf(2,2;1,1,1)"]
+
+SINGLE_CHECKS = {
+    "gon": verify.verify_gon,
+    "simplex": verify.verify_simplex,
+    "colors": verify.verify_colors,
+    "green": verify.green_spectrum,
+    "intertwining": verify.verify_intertwining,
+    "ranks": verify.verify_ranks,
+    "reduction": verify.verify_reduction,
+}
+
+
+def plain_product(field, a, b):
+    """Every term of every entry, no zero test."""
+    return [[field.sum(field.mul(a[i][k], b[k][j]) for k in range(len(b)))
+             for j in range(len(b[0]))] for i in range(len(a))]
+
+
+def plain_side(slots, dim):
+    """The embedded slots multiplied out in full, left to right."""
+    field = slots[0].field
+    out = matrices.identity(field, dim)
+    for slot in slots:
+        out = plain_product(field, out, matrices.embed_block(
+            field, slot.matrix, slot.positions, dim))
+    return out
+
+
+def zero_heavy(field, rng, rows, cols):
+    """A random matrix, mostly zero, with some rows and columns all zero;
+    now and then all zero or dense."""
+    density = rng.choice([0.0, 0.2, 0.4, 1.0])
+    out = [[field.random(rng) if rng.random() < density else field.zero
+            for _ in range(cols)] for _ in range(rows)]
+    for i in rng.sample(range(rows), rng.randrange(rows)):
+        out[i] = [field.zero] * cols
+    for j in rng.sample(range(cols), rng.randrange(cols)):
+        for row in out:
+            row[j] = field.zero
+    return out
+
+
+def product_cases(descriptor, count=40):
+    field = field_create(descriptor)
+    rng = random.Random(descriptor)
+    for _ in range(count):
+        r, k, c = (rng.randint(1, 6) for _ in range(3))
+        yield field, zero_heavy(field, rng, r, k), zero_heavy(field, rng, k, c)
+
+
+def side_cases(descriptor, count=25):
+    """Slots of random sizes at scattered positions, with invertible-looking
+    and zero-heavy blocks alike (the product need not be invertible)."""
+    field = field_create(descriptor)
+    rng = random.Random("side:" + descriptor)
+    for _ in range(count):
+        dim = rng.randint(1, 9)
+        slots = []
+        for t in range(rng.randint(1, 5)):
+            m = rng.randint(1, dim)
+            positions = tuple(sorted(rng.sample(range(1, dim + 1), m)))
+            block = matrices.freeze(zero_heavy(field, rng, m, m))
+            slots.append(OperatorSlot(t + 1, "A", block, positions, field))
+        yield slots, dim
+
+
+@pytest.mark.parametrize("descriptor", FIELDS)
+def test_mat_mul_equals_the_plain_product(descriptor):
+    for field, a, b in product_cases(descriptor):
+        assert matrices.mat_mul(field, a, b) == plain_product(field, a, b)
+
+
+@pytest.mark.parametrize("descriptor", FIELDS)
+def test_side_product_equals_the_plain_embedded_product(descriptor):
+    for slots, dim in side_cases(descriptor):
+        assert verify.side_product(slots, dim) == plain_side(slots, dim)
+
+
+ROW_PRODUCT = matrices.row_product
+
+
+def _skips_rows_led_by_zero(field, row, cols):
+    if row[0] == field.zero:
+        return None
+    return ROW_PRODUCT(field, row, cols)
+
+
+def _drops_the_last_term(field, row, cols):
+    return ROW_PRODUCT(field, row, [col[:-1] for col in cols])
+
+
+@pytest.mark.parametrize("mutant", [_skips_rows_led_by_zero,
+                                    _drops_the_last_term])
+def test_oracle_cases_catch_a_broken_kernel(monkeypatch, mutant):
+    # the two oracle tests above are only as strong as their cases: with a
+    # wrong zero skip or a lost term in the kernel, some case must differ
+    monkeypatch.setattr(matrices, "row_product", mutant)
+    for descriptor in FIELDS:
+        assert any(matrices.mat_mul(field, a, b) != plain_product(field, a, b)
+                   for field, a, b in product_cases(descriptor))
+        assert any(verify.side_product(slots, dim) != plain_side(slots, dim)
+                   for slots, dim in side_cases(descriptor))
+
+
+def sample_point(field, n, seed):
+    """A point with every minor nonzero where rejection sampling finds one
+    quickly, else any full-rank matrix (small fields, larger n)."""
+    try:
+        return random_point(n, field, seed=seed, max_tries=200)
+    except SamplingError:
+        rng = random.Random(seed)
+        while True:
+            matrix = [[field.random(rng) for _ in range(2 * n + 1)]
+                      for _ in range(n + 1)]
+            point = GrassmannPoint(field, matrix)
+            if len(point.table.vanishing()) < len(point.table.entries):
+                return point
+
+
+def _corrupted(point, key, value):
+    return GrassmannPoint(point.field, point.matrix,
+                          point.table.with_entry(key, value))
+
+
+def _breaks_inverse_pair(point):
+    """A copy with one minor doubled so that some B block is not the
+    inverse of its A block, or None if no single minor does that."""
+    field = point.field
+    two = field.add(field.one, field.one)
+    for key, value in sorted(point.table.entries.items()):
+        bad = _corrupted(point, key, field.mul(two, value))
+        for q in range(1, 2 * point.n + 2):
+            try:
+                solutions.build_B(bad, q)
+            except StructuralError:
+                return bad
+            except ConstructionError:
+                pass
+    return None
+
+
+def variants(point):
+    """The point, then copies with one minor negated, one shifted by one,
+    and one whose A.B = I check fails."""
+    field, table = point.field, point.table
+    key = sorted(table.entries)[len(table.entries) // 2]
+    yield "honest", point
+    yield "negated", _corrupted(point, key, field.neg(table[key]))
+    yield "shifted", _corrupted(point, key, field.add(table[key], field.one))
+    broken = _breaks_inverse_pair(point)
+    if broken is not None:
+        yield "not inverse", broken
+
+
+def _state(point):
+    """The point's attributes by value, with its table by identity, and the
+    table's attributes by value."""
+    attrs = dict(vars(point), table=id(point.table))
+    return copy.deepcopy((attrs, vars(point.table)))
+
+
+@pytest.mark.parametrize("descriptor", FIELDS)
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_shared_construction_matches_each_check_alone(descriptor, n):
+    field = field_create(descriptor)
+    lambdas = [field.zero, field.one]
+    depth = min(2, 2 * n - 1)
+    for name, x in variants(sample_point(field, n, seed=7 * n)):
+        before = _state(x)
+        shared = verify.run_checks(x, lambdas=lambdas, depth=depth)
+        assert _state(x) == before, (descriptor, n, name)
+        for report in shared:
+            check = SINGLE_CHECKS.get(report.check)
+            if check is None:
+                continue
+            kw = ({"lambdas": lambdas, "depth": depth}
+                  if report.check == "reduction" else {})
+            alone = check(x, **kw)
+            assert ((report.status, report.witness, report.params)
+                    == (alone.status, alone.witness, alone.params)), \
+                (descriptor, n, name, report.check)
+
+
+def test_the_comparison_meets_every_kind_of_failure():
+    # the comparison above is only as strong as the failures it meets:
+    # every kind of corruption fails some check, and the A.B = I failure
+    # reaches a witness
+    witnesses = set()
+    for descriptor in FIELDS:
+        field = field_create(descriptor)
+        for n in (1, 2, 3):
+            for name, x in variants(sample_point(field, n, seed=7 * n)):
+                for r in verify.run_checks(x, depth=min(2, 2 * n - 1)):
+                    if r.status == "fail":
+                        witnesses.add((name, str(r.witness)))
+    names = {name for name, _ in witnesses}
+    assert {"negated", "shifted", "not inverse"} <= names
+    assert any("not inverse" in w for _, w in witnesses)
+
+
+class _CountingBuilds:
+    """Counts the build_* calls, under every module name bound to them."""
+
+    def __init__(self, monkeypatch):
+        self.calls = {}
+        for kind in "ABRZ":
+            name = "build_" + kind
+            fn = getattr(solutions, name)
+            wrapper = self._wrap(name, fn)
+            for module in (solutions, verify, cli):
+                if getattr(module, name, None) is fn:
+                    monkeypatch.setattr(module, name, wrapper)
+
+    def _wrap(self, name, fn):
+        def wrapper(*args):
+            self.calls[name] = self.calls.get(name, 0) + 1
+            return fn(*args)
+        return wrapper
+
+    def take(self):
+        calls, self.calls = self.calls, {}
+        return calls
+
+
+def test_each_block_is_built_once_per_call(monkeypatch, rational_points):
+    point = rational_points[3]
+    builds = _CountingBuilds(monkeypatch)
+    lambdas = [point.field.zero, point.field.one]
+    verify.run_checks(point, lambdas=lambdas, depth=3)
+    first = builds.take()
+    labels = 2 * point.n + 1
+    assert first["build_A"] == first["build_B"] == first["build_R"] == labels
+    assert first["build_Z"] == (labels - 1) * len(lambdas)
+    # nothing outlives the call: a second call builds everything again
+    verify.run_checks(point, lambdas=lambdas, depth=3)
+    assert builds.take() == first
+
+
+def test_a_failed_build_is_kept_as_its_raise(monkeypatch):
+    field = field_create("gf(11)")
+    table = sample_point(field, 2, seed=3).table
+    # the denominator of A at q = 1 is the minor at columns (1, 2, 4)
+    con = Construction(table.with_entry((1, 2, 4), field.zero))
+    builds = _CountingBuilds(monkeypatch)
+    with pytest.raises(ConstructionError) as first:
+        con.A(1)
+    with pytest.raises(ConstructionError) as again:
+        con.B(1)
+    assert str(again.value) == str(first.value)
+    assert builds.take() == {"build_A": 1, "build_B": 1}
+
+
+def test_cli_build_all_labels_shares_one_construction(monkeypatch, capsys,
+                                                      tmp_path):
+    point = random_point(2, field_create("q"), seed=5)
+    path = tmp_path / "point.json"
+    save_point(str(path), point)
+    builds = _CountingBuilds(monkeypatch)
+    assert cli.main(["build", "--point", str(path), "--what", "Z",
+                     "--lambda", "3"]) == 0
+    everything = capsys.readouterr().out
+    assert builds.take() == {"build_A": 4, "build_B": 4, "build_R": 4,
+                             "build_Z": 4}
+    # each entry is what a single-label build prints
+    entries = json.loads(everything)["entries"]
+    for q in range(1, 5):
+        assert cli.main(["build", "--point", str(path), "--what", "Z",
+                         "--lambda", "3", "--q", str(q)]) == 0
+        one = json.loads(capsys.readouterr().out)
+        assert {"matrix": one["matrix"], "positions": one["positions"]} \
+            == entries[str(q)]

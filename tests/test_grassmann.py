@@ -8,7 +8,7 @@ import sympy
 
 from gsf.errors import InputError, SamplingError
 from gsf.exterior import contract, wedge
-from gsf.field import RationalField, field_create
+from gsf.field import RationalField, field_create, field_from_json
 from gsf.grassmann import (GrassmannPoint, as_table, assumption_check,
                            gf4_point, load_point, phi, pluecker_table,
                            point_from_json, point_to_json, psi, random_point,
@@ -213,6 +213,49 @@ def test_point_json_with_minor_override(tmp_path):
     path = tmp_path / "corrupt.json"
     save_point(path, tricked)
     assert load_point(path).table[key] == -point.table[key]
+
+
+def _with_entry_chain(obj):
+    """The table a pluecker list makes when applied one record at a time."""
+    field = field_from_json(obj["field"])
+    table = pluecker_table(field, [[field.parse(v) for v in row]
+                                   for row in obj["matrix"]])
+    for rec in obj["pluecker"]:
+        table = table.with_entry(tuple(int(i) for i in rec["indices"]),
+                                 field.parse(rec["value"]))
+    return table
+
+
+@pytest.mark.parametrize("descriptor", ["q", "gf(11)"])
+def test_pluecker_records_load_like_a_with_entry_chain(descriptor):
+    field = field_create(descriptor)
+    point = random_point(2, field, seed=8)
+    rng = random.Random(descriptor)
+    keys = sorted(point.table.entries)
+    records = []
+    for _ in range(12):
+        # repeated keys included: the last record for a key wins
+        key = rng.choice(keys[:4])
+        records.append({"indices": [str(i) for i in key],
+                        "value": field.fmt(field.random(rng))})
+    obj = dict(point_to_json(point), pluecker=records)
+    loaded = point_from_json(json.loads(json.dumps(obj)))
+    assert loaded.table.entries == _with_entry_chain(obj).entries
+    assert loaded.table_overridden
+    assert point_from_json(dict(obj, pluecker=[])).table.entries \
+        == point.table.entries
+
+
+def test_pluecker_records_are_checked_in_order():
+    obj = point_to_json(random_point(1, F, seed=3))
+    good = {"indices": [1, 2], "value": "5"}
+    for bad in ({"indices": [1, 4], "value": "1"},      # no such minor
+                {"indices": [2, 1], "value": "1"},      # not ascending
+                {"indices": [1, 2]},                    # no value
+                {"indices": [1, 2], "value": "x"},      # not a rational
+                ["indices", "value"]):                  # not a record
+        with pytest.raises(InputError):
+            point_from_json(dict(obj, pluecker=[good, bad, good]))
 
 
 def test_point_validation():
