@@ -13,7 +13,8 @@ import sys
 
 from .combinatorics import (color_positions, gon_positions, sim_sequence,
                             simplex_positions)
-from .errors import ConstructionError, InputError, SamplingError
+from .errors import (ConstructionError, InputError, ReductionError,
+                     SamplingError, StructuralError)
 from .field import field_create
 from .grassmann import load_point, point_to_json, random_point, save_point
 from .solutions import (Construction, gon_slot, gon_inverse_slot,
@@ -188,7 +189,8 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, SamplingError, ConstructionError) as e:
+    except (InputError, SamplingError, ConstructionError, ReductionError,
+            StructuralError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
 

@@ -18,4 +18,7 @@ class SamplingError(RuntimeError):
 
 
 class StructuralError(RuntimeError):
-    """An internal cross-check failed; indicates a bug, not bad input."""
+    """An internal cross-check failed: A.B = I, Z built two ways, or the
+    slot positions derived two ways.  On a sampled point it indicates a bug;
+    a point whose Plucker coordinates are overridden by hand can trigger
+    the first two."""

@@ -348,6 +348,7 @@ def field_from_json(obj):
         if kind == "extension":
             return ExtensionField(int(obj["p"]), int(obj["k"]),
                                   [int(c) for c in obj["modulus"]])
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
+        # OverflowError: int() of an infinite float, which json.load accepts
         raise InputError("malformed field record") from e
     raise InputError("unknown field kind %r" % (kind,))

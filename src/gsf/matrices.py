@@ -6,6 +6,7 @@ mutates its inputs.
 
 import itertools
 import math
+from fractions import Fraction
 
 
 def identity(field, size):
@@ -59,13 +60,106 @@ def row_product(field, row, cols):
     return out
 
 
+def cleared(values, den=None):
+    """Rationals as integer numerators over one common denominator, by
+    default the lcm of their denominators: (numerators, denominator)."""
+    if den is None:
+        den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def cleared_columns(rows):
+    """A matrix over Q as integers over one common denominator: each
+    column's nonzero numerators as (row index, value) pairs in ascending row
+    order, and the denominator."""
+    den = math.lcm(*(v.denominator for row in rows for v in row))
+    ints = [cleared(row, den)[0] for row in rows]
+    return [[(i, v) for i, v in enumerate(col) if v] for col in zip(*ints)], den
+
+
+def integer_row_product(nums, cols):
+    """The integer row times the matrix whose cleared_columns are cols, one
+    integer dot product per column, or None when the row is all zero."""
+    if not any(nums):
+        return None
+    return [sum(nums[i] * v for i, v in col) for col in cols]
+
+
+_ZERO = Fraction(0)
+
+
+def _fractions(nums, den):
+    """The row of Fractions nums[j] / den, the one normalisation per entry."""
+    return [Fraction(v, den) if v else _ZERO for v in nums]
+
+
 def mat_mul(field, a, b):
+    if field.kind == "rationals":
+        return _mat_mul_rational(a, b)
     cols = sparse_columns(field, b)
     out = []
     for row in a:
         prod = row_product(field, row, cols)
         out.append([field.zero] * len(cols) if prod is None else prod)
     return out
+
+
+def _mat_mul_rational(a, b):
+    """mat_mul over Q: b cleared once, each row of a cleared, and one
+    Fraction made per output entry."""
+    cols, den_b = cleared_columns(b)
+    out = []
+    for row in a:
+        nums, den = cleared(row)
+        prod = integer_row_product(nums, cols)
+        out.append([_ZERO] * len(cols) if prod is None
+                   else _fractions(prod, den * den_b))
+    return out
+
+
+def embedded_product(field, blocks, dim):
+    """The product of identity matrices of the given dimension, each with a
+    block written at its 0-based positions, leftmost factor applied first to
+    rows; blocks is a list of (matrix, positions) pairs.
+
+    Only the touched columns of a row change, and a row whose touched
+    entries all vanish does not change at all."""
+    if field.kind == "rationals":
+        return _embedded_product_rational(blocks, dim)
+    out = identity(field, dim)
+    for block, at in blocks:
+        cols = sparse_columns(field, block)
+        for row in out:
+            prod = row_product(field, [row[p] for p in at], cols)
+            if prod is not None:
+                for p, v in zip(at, prod):
+                    row[p] = v
+    return out
+
+
+def _embedded_product_rational(blocks, dim):
+    """embedded_product over Q on integer rows, each over one row
+    denominator.  A changed row is multiplied through by the block's
+    denominator, untouched columns included, so a row denominator is the
+    product of the block denominators that touched the row: its length in
+    bits grows by one block denominator's per factor.  Nothing is reduced
+    until the end, where each entry becomes a Fraction, one row at a time."""
+    rows = [[int(i == j) for j in range(dim)] for i in range(dim)]
+    dens = [1] * dim
+    for block, at in blocks:
+        cols, den_b = cleared_columns(block)
+        for r, row in enumerate(rows):
+            prod = integer_row_product([row[p] for p in at], cols)
+            if prod is None:
+                continue
+            if den_b != 1:
+                row = rows[r] = [v * den_b for v in row]
+            for p, v in zip(at, prod):
+                row[p] = v
+            dens[r] *= den_b
+    for r, den in enumerate(dens):
+        rows[r] = _fractions(rows[r], den)
+    return rows
 
 
 def embed_block(field, block, positions, dim):
@@ -122,11 +216,7 @@ def rank(field, rows):
     if not rows or not rows[0]:
         return 0
     if field.kind == "rationals":
-        cleared = []
-        for r in rows:
-            scale = math.lcm(*(v.denominator for v in r))
-            cleared.append([int(v * scale) for v in r])
-        return _rank_bareiss(cleared)
+        return _rank_bareiss([cleared(r)[0] for r in rows])
     return _rank_gauss(field, rows)
 
 

@@ -54,29 +54,17 @@ def embed(slot, dim):
 
 
 def side_product(slots, dim):
-    """Product of the embedded slots, leftmost factor applied first to rows.
-
-    Only the touched columns of a row change, and a row whose touched
-    entries all vanish does not change at all; the block's nonzero entries
-    are listed once per slot (see matrices.row_product).
-    """
+    """Product of the embedded slots, leftmost factor applied first to rows
+    (see matrices.embedded_product)."""
     slots = list(slots)
     if not slots:
         raise InputError("a side needs at least one factor")
-    field = slots[0].field
-    out = matrices.identity(field, dim)
-    for slot in slots:
-        if slot.positions[-1] > dim:
-            raise InputError(
-                "slot positions exceed the ambient dimension %d" % dim)
-        at = [p - 1 for p in slot.positions]
-        cols = matrices.sparse_columns(field, slot.matrix)
-        for row in out:
-            prod = matrices.row_product(field, [row[p] for p in at], cols)
-            if prod is not None:
-                for p, v in zip(at, prod):
-                    row[p] = v
-    return out
+    if any(slot.positions[-1] > dim for slot in slots):
+        raise InputError("slot positions exceed the ambient dimension %d" % dim)
+    return matrices.embedded_product(
+        slots[0].field,
+        [(slot.matrix, [p - 1 for p in slot.positions]) for slot in slots],
+        dim)
 
 
 def _require_equal(context, field, lhs, rhs):

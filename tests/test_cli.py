@@ -3,9 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+from gsf import solutions
 from gsf.cli import main
-from gsf.field import RationalField
-from gsf.grassmann import GrassmannPoint, save_point
+from gsf.errors import ReductionError, StructuralError
+from gsf.field import RationalField, field_create
+from gsf.grassmann import GrassmannPoint, random_point, save_point
 
 
 def run(capsys, argv):
@@ -104,6 +106,53 @@ def test_build_reduced_block(capsys, trigon_point):
     obj = json.loads(out)
     assert obj["matrix"] == [["4/5"]]
     assert obj["lam"] == "4/5"
+
+
+@pytest.fixture
+def not_inverse_point(tmp_path):
+    """A gf(11) point at n = 2 with one minor shifted by one so that some B
+    block is not the inverse of its A block, saved with its override."""
+    field = field_create("gf(11)")
+    point = random_point(2, field, seed=1)
+    for key in sorted(point.table.entries):
+        bad = GrassmannPoint(field, point.matrix, point.table.with_entry(
+            key, field.add(point.table[key], field.one)))
+        try:
+            for q in range(1, 6):
+                solutions.build_B(bad, q)
+        except StructuralError:
+            path = tmp_path / "not_inverse.json"
+            save_point(str(path), bad)
+            return str(path)
+    raise AssertionError("no single shifted minor breaks A.B = I")
+
+
+@pytest.mark.parametrize("what", ["B", "R", "Z"])
+def test_build_on_a_point_that_breaks_a_b_exits_2(capsys, not_inverse_point,
+                                                  what):
+    code, out, err = run(capsys, ["build", "--point", not_inverse_point,
+                                  "--what", what])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "not inverse" in err
+    # A needs no B, so it still builds
+    code, _, _ = run(capsys, ["build", "--point", not_inverse_point,
+                              "--what", "A"])
+    assert code == 0
+
+
+def test_build_with_a_singular_reduction_exits_2(capsys, monkeypatch,
+                                                 trigon_point):
+    # at level one the pivot 1 - lam * R[m][m] is 1, because R[m][m] sits on
+    # the zero checkerboard; the eliminator is made to fail instead
+    def singular(field, rows, lam):
+        raise ReductionError("reduction pivot 1 - lam*S[m][m] vanishes")
+    monkeypatch.setattr(solutions, "reduce_matrix", singular)
+    code, out, err = run(capsys, ["build", "--point", trigon_point,
+                                  "--what", "Z", "--q", "1"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "pivot" in err
 
 
 def test_build_rejects_bad_labels(capsys, trigon_point):

@@ -1,14 +1,16 @@
-"""The per-call Construction and the zero-skipping product kernel.
+"""The per-call Construction and the product kernels.
 
 `side_product` and `mat_mul` are held to a plain embedded triple-loop
-product on zero-heavy blocks.  `run_checks`, which shares one Construction
-across all checks, is held to each check called alone, on honest tables and
-on corrupted ones.
+product on zero-heavy blocks, and over Q also on blocks with mixed and large
+denominators.  `run_checks`, which shares one Construction across all
+checks, is held to each check called alone, on honest tables and on
+corrupted ones.
 """
 
 import copy
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -47,11 +49,24 @@ def plain_side(slots, dim):
     return out
 
 
-def zero_heavy(field, rng, rows, cols):
+def rational(rng):
+    """A rational of either sign: a small integer, a small fraction, or one
+    whose numerator and denominator pass 64 bits."""
+    kind = rng.random()
+    if kind < 0.3:
+        return Fraction(rng.randint(-9, 9))
+    if kind < 0.7:
+        return Fraction(rng.randint(-50, 50), rng.randint(1, 12))
+    return Fraction(rng.randint(-2 ** 90, 2 ** 90), rng.randint(1, 2 ** 80))
+
+
+def zero_heavy(field, rng, rows, cols, value=None):
     """A random matrix, mostly zero, with some rows and columns all zero;
-    now and then all zero or dense."""
+    now and then all zero or dense.  Entries come from value(rng), by
+    default the field's own sampler."""
+    value = value or field.random
     density = rng.choice([0.0, 0.2, 0.4, 1.0])
-    out = [[field.random(rng) if rng.random() < density else field.zero
+    out = [[value(rng) if rng.random() < density else field.zero
             for _ in range(cols)] for _ in range(rows)]
     for i in rng.sample(range(rows), rng.randrange(rows)):
         out[i] = [field.zero] * cols
@@ -61,12 +76,20 @@ def zero_heavy(field, rng, rows, cols):
     return out
 
 
+def _samplers(field):
+    """The entry samplers of a field's cases: its own, and over Q also
+    rationals with mixed and large denominators."""
+    return [None, rational] if field.kind == "rationals" else [None]
+
+
 def product_cases(descriptor, count=40):
     field = field_create(descriptor)
     rng = random.Random(descriptor)
-    for _ in range(count):
-        r, k, c = (rng.randint(1, 6) for _ in range(3))
-        yield field, zero_heavy(field, rng, r, k), zero_heavy(field, rng, k, c)
+    for value in _samplers(field):
+        for _ in range(count):
+            r, k, c = (rng.randint(1, 6) for _ in range(3))
+            yield (field, zero_heavy(field, rng, r, k, value),
+                   zero_heavy(field, rng, k, c, value))
 
 
 def side_cases(descriptor, count=25):
@@ -74,15 +97,16 @@ def side_cases(descriptor, count=25):
     and zero-heavy blocks alike (the product need not be invertible)."""
     field = field_create(descriptor)
     rng = random.Random("side:" + descriptor)
-    for _ in range(count):
-        dim = rng.randint(1, 9)
-        slots = []
-        for t in range(rng.randint(1, 5)):
-            m = rng.randint(1, dim)
-            positions = tuple(sorted(rng.sample(range(1, dim + 1), m)))
-            block = matrices.freeze(zero_heavy(field, rng, m, m))
-            slots.append(OperatorSlot(t + 1, "A", block, positions, field))
-        yield slots, dim
+    for value in _samplers(field):
+        for _ in range(count):
+            dim = rng.randint(1, 9)
+            slots = []
+            for t in range(rng.randint(1, 5)):
+                m = rng.randint(1, dim)
+                positions = tuple(sorted(rng.sample(range(1, dim + 1), m)))
+                block = matrices.freeze(zero_heavy(field, rng, m, m, value))
+                slots.append(OperatorSlot(t + 1, "A", block, positions, field))
+            yield slots, dim
 
 
 @pytest.mark.parametrize("descriptor", FIELDS)
@@ -97,7 +121,71 @@ def test_side_product_equals_the_plain_embedded_product(descriptor):
         assert verify.side_product(slots, dim) == plain_side(slots, dim)
 
 
+def _big(sign, bits):
+    """A fraction whose numerator and denominator both pass the given bits."""
+    return Fraction(sign * (2 ** bits + 3), 2 ** bits - 1)
+
+
+def test_rational_edge_cases_equal_the_plain_products():
+    field = field_create("q")
+    zero = field.zero
+    half, third, big = Fraction(1, 2), Fraction(-1, 3), _big(-1, 70)
+    mixed = [[half, zero, big], [zero, zero, zero], [third, zero, Fraction(5)]]
+    dense = [[big, third], [Fraction(-7, 2 ** 65), half], [Fraction(4), zero]]
+    for a, b in [(mixed, dense),
+                 ([[zero] * 3] * 2, dense),    # an all-zero left factor
+                 (mixed, [[zero] * 2] * 3),    # an all-zero right factor
+                 ([[big]], [[_big(1, 90)]])]:
+        assert matrices.mat_mul(field, a, b) == plain_product(field, a, b)
+
+    def slot(t, block, positions):
+        return OperatorSlot(t, "A", matrices.freeze(block), positions, field)
+
+    block = [[half, big, zero], [zero, zero, zero], [third, Fraction(3), big]]
+    for slots, dim in [
+            # every row is zero at positions 1, 2 before the second slot
+            ([slot(1, [[zero, zero], [zero, zero]], (1, 2)),
+              slot(2, [[big, half], [third, zero]], (1, 2))], 3),
+            # untouched columns of changed rows must take the denominators
+            ([slot(1, block, (1, 3, 4)), slot(2, block, (2, 3, 5)),
+              slot(3, [[third, half], [big, zero]], (1, 5))], 5),
+            ([slot(1, [[zero]], (2,))], 2)]:
+        assert verify.side_product(slots, dim) == plain_side(slots, dim)
+
+
+@pytest.mark.parametrize("lam", ["0", "1", "7", "1/3"])
+def test_rational_Z_equals_its_elimination_and_its_plain_factored_form(
+        rational_points, lam):
+    field = rational_points[1].field
+    lam = Fraction(lam)
+    for n, point in rational_points.items():
+        dim = 2 * n - 1
+        odds = list(range(1, 2 * n, 2))
+        for q in range(1, 2 * n + 1):
+            z = solutions.build_Z(point, q, lam)
+            assert z == solutions.reduce_matrix(
+                field, solutions.build_R(point, q), lam)
+            ae = matrices.embed_block(field, solutions.build_A(point, q),
+                                      odds, dim)
+            be = matrices.embed_block(field, solutions.build_B(point, q),
+                                      odds, dim)
+            swap = matrices.identity(field, dim)
+            for k in range(0, 2 * n - 2, 2):
+                swap[k][k] = swap[k + 1][k + 1] = field.zero
+                swap[k][k + 1] = swap[k + 1][k] = field.one
+            scale = matrices.identity(field, dim)
+            scale[dim - 1][dim - 1] = lam
+            factored = ae
+            for factor in (swap, scale, be):
+                factored = plain_product(field, factored, factor)
+            assert z == factored
+
+
+# Mutants of the kernel that finite fields run (row_product) and of the one
+# that Q runs (integer_row_product, and the row denominators of the side
+# product).
 ROW_PRODUCT = matrices.row_product
+INTEGER_ROW_PRODUCT = matrices.integer_row_product
 
 
 def _skips_rows_led_by_zero(field, row, cols):
@@ -110,15 +198,56 @@ def _drops_the_last_term(field, row, cols):
     return ROW_PRODUCT(field, row, [col[:-1] for col in cols])
 
 
-@pytest.mark.parametrize("mutant", [_skips_rows_led_by_zero,
-                                    _drops_the_last_term])
+def _skips_integer_rows_led_by_zero(nums, cols):
+    if nums[0] == 0:
+        return None
+    return INTEGER_ROW_PRODUCT(nums, cols)
+
+
+def _drops_the_last_integer_term(nums, cols):
+    return INTEGER_ROW_PRODUCT(nums, [col[:-1] for col in cols])
+
+
+def _leaves_untouched_columns_unscaled(blocks, dim):
+    """The rational side product with a changed row's denominator applied
+    to its touched columns only."""
+    rows = [[int(i == j) for j in range(dim)] for i in range(dim)]
+    dens = [1] * dim
+    for block, at in blocks:
+        cols, den = matrices.cleared_columns(block)
+        for r, row in enumerate(rows):
+            prod = matrices.integer_row_product([row[p] for p in at], cols)
+            if prod is not None:
+                for p, v in zip(at, prod):
+                    row[p] = v
+                dens[r] *= den
+    return [[Fraction(v, d) for v in row] for row, d in zip(rows, dens)]
+
+
+# mutant -> (the kernel it replaces, the fields that run that kernel, whether
+# mat_mul runs it too)
+MUTANTS = {
+    _skips_rows_led_by_zero: ("row_product", FIELDS[1:], True),
+    _drops_the_last_term: ("row_product", FIELDS[1:], True),
+    _skips_integer_rows_led_by_zero: ("integer_row_product", ["q"], True),
+    _drops_the_last_integer_term: ("integer_row_product", ["q"], True),
+    _leaves_untouched_columns_unscaled:
+        ("_embedded_product_rational", ["q"], False),
+}
+
+
+@pytest.mark.parametrize("mutant", list(MUTANTS), ids=lambda m: m.__name__)
 def test_oracle_cases_catch_a_broken_kernel(monkeypatch, mutant):
-    # the two oracle tests above are only as strong as their cases: with a
-    # wrong zero skip or a lost term in the kernel, some case must differ
-    monkeypatch.setattr(matrices, "row_product", mutant)
-    for descriptor in FIELDS:
-        assert any(matrices.mat_mul(field, a, b) != plain_product(field, a, b)
-                   for field, a, b in product_cases(descriptor))
+    # the oracle tests above are only as strong as their cases: with a
+    # wrong zero skip, a lost term or a lost row denominator in the kernel
+    # a field runs, some case of that field must differ
+    kernel, descriptors, in_mat_mul = MUTANTS[mutant]
+    monkeypatch.setattr(matrices, kernel, mutant)
+    for descriptor in descriptors:
+        if in_mat_mul:
+            assert any(
+                matrices.mat_mul(field, a, b) != plain_product(field, a, b)
+                for field, a, b in product_cases(descriptor))
         assert any(verify.side_product(slots, dim) != plain_side(slots, dim)
                    for slots, dim in side_cases(descriptor))
 

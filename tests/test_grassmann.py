@@ -1,10 +1,13 @@
 import itertools
 import json
+import math
 import random
 from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gsf.errors import InputError, SamplingError
 from gsf.exterior import contract, wedge
@@ -283,3 +286,63 @@ def test_table_validation():
     from gsf.grassmann import PlueckerTable
     with pytest.raises(InputError):
         PlueckerTable(F, 1, entries)
+
+
+# any JSON value: what json.load can return, infinities and NaN included
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=6),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=6), inner, max_size=4)),
+    max_leaves=12)
+
+# a record of each key with the right type more often than chance, so that
+# records get past the first key and some of them load
+ENTRIES = st.integers(-3, 3) | st.sampled_from(
+    ["1/2", "-7", "1:1", "x", "1/0", [1, 0], [1, 2, 3], None, 2.5, True])
+FIELDS_JSON = JSON_VALUES | st.sampled_from(
+    ["q", "gf(11)", "gf(3,2;1,0,1)", "gf(4)", "gf(3,2;1,1,1)",
+     {"kind": "rationals"}, {"kind": "prime", "p": 7},
+     {"kind": "extension", "p": 3, "k": 2, "modulus": [1, 0, 1]}]) \
+    | st.fixed_dictionaries(
+        {"kind": st.sampled_from(["rationals", "prime", "extension", "z"])
+         | JSON_VALUES},
+        optional={"p": st.sampled_from([2, 3, 7, 8, -5, "7", math.inf])
+                  | JSON_VALUES,
+                  "k": st.sampled_from([1, 2, 3, 5, math.inf]) | JSON_VALUES,
+                  "modulus": st.lists(st.integers(0, 3), max_size=4)
+                  | JSON_VALUES})
+SHAPED = st.integers(1, 3).flatmap(
+    lambda rows: st.lists(st.lists(st.integers(-3, 3), min_size=2 * rows - 1,
+                                   max_size=2 * rows - 1),
+                          min_size=rows, max_size=rows))
+MATRICES = SHAPED | SHAPED | JSON_VALUES \
+    | st.lists(st.lists(ENTRIES, max_size=5), max_size=4)
+RECORDS = JSON_VALUES | st.fixed_dictionaries(
+    {"indices": st.lists(st.integers(1, 5), min_size=2, max_size=3,
+                         unique=True).map(sorted)
+     | st.lists(st.integers(0, 6) | JSON_VALUES, max_size=4) | JSON_VALUES,
+     "value": ENTRIES}) | st.fixed_dictionaries(
+    {}, optional={"indices": JSON_VALUES, "value": JSON_VALUES})
+POINTS_JSON = JSON_VALUES | st.fixed_dictionaries(
+    {"field": FIELDS_JSON, "matrix": MATRICES},
+    optional={"n": st.integers(-1, 4) | JSON_VALUES,
+              "pluecker": st.lists(RECORDS, max_size=3) | JSON_VALUES}) \
+    | st.fixed_dictionaries(
+        {}, optional={"field": FIELDS_JSON, "matrix": MATRICES,
+                      "n": JSON_VALUES, "pluecker": JSON_VALUES})
+
+
+@settings(max_examples=300)
+@given(POINTS_JSON)
+@example({"field": {"kind": "prime", "p": math.inf},
+          "matrix": [[1, 0, 1], [0, 1, 1]]})
+@example({"field": {"kind": "extension", "p": 3, "k": math.inf,
+                    "modulus": [1, 0, 1]}, "matrix": [[1, 0, 1], [0, 1, 1]]})
+def test_point_from_json_raises_input_error_or_returns_a_point(obj):
+    try:
+        point = point_from_json(obj)
+    except InputError:
+        return
+    assert isinstance(point, GrassmannPoint)
+    assert len(point.table.entries) == math.comb(2 * point.n + 1, point.n + 1)
