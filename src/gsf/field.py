@@ -334,6 +334,19 @@ def field_create(descriptor):
     raise InputError("unrecognized field descriptor %r" % (descriptor,))
 
 
+def json_integer(value, what):
+    """An integer given in JSON as a number or as decimal text; a float or
+    a bool is refused, not truncated."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str):
+        try:
+            return int(value, 10)
+        except ValueError:
+            pass
+    raise InputError("%s must be an integer, got %r" % (what, value))
+
+
 def field_from_json(obj):
     if isinstance(obj, str):
         return field_create(obj)
@@ -344,11 +357,14 @@ def field_from_json(obj):
         if kind == "rationals":
             return RationalField()
         if kind == "prime":
-            return PrimeField(int(obj["p"]))
+            return PrimeField(json_integer(obj["p"], "p"))
         if kind == "extension":
-            return ExtensionField(int(obj["p"]), int(obj["k"]),
-                                  [int(c) for c in obj["modulus"]])
-    except (KeyError, TypeError, ValueError, OverflowError) as e:
-        # OverflowError: int() of an infinite float, which json.load accepts
+            modulus = obj["modulus"]
+            if not isinstance(modulus, list):
+                raise InputError("modulus must be a list of coefficients")
+            return ExtensionField(
+                json_integer(obj["p"], "p"), json_integer(obj["k"], "k"),
+                [json_integer(c, "a modulus coefficient") for c in modulus])
+    except KeyError as e:
         raise InputError("malformed field record") from e
     raise InputError("unknown field kind %r" % (kind,))

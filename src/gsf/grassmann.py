@@ -10,7 +10,7 @@ from bisect import bisect_left
 from . import matrices
 from .errors import InputError, SamplingError
 from .exterior import Multivector, contract, wedge
-from .field import field_from_json
+from .field import field_from_json, json_integer
 from .report import Stopwatch, VerificationReport
 from .combinatorics import check_n, complement
 
@@ -204,18 +204,20 @@ def verify_plucker_relations(x):
 
     For fixed (q, j) the second factor of every term is independent of b,
     so each family is one linear combination of phi rows; b containing q
-    leave every term zero and are not visited."""
+    leave every term zero and are not visited.  Takes a point, a table or
+    a solutions.Construction, whose phi rows it reads."""
+    # solutions imports this module, so the import waits for the call
+    from .solutions import construction
     watch = Stopwatch()
-    table = as_table(x)
-    n, field = table.n, table.field
+    con = construction(x)
+    table, n, field = con.table, con.n, con.field
     zero = field.zero
     report = VerificationReport("plucker", {"n": n})
-    subsets = list(itertools.combinations(range(1, 2 * n + 2), n - 1))
     for q in range(1, 2 * n + 2):
         a = complement(n, q)
         evens = [a[2 * i + 1] for i in range(n)]
-        ks = [k for k in subsets if q not in k]
-        rows = {c: phi_row(table, c, q, ks) for c in a}
+        ks = con.phi_subsets(q)
+        rows = {c: con.phi_row(c, q) for c in a}
         first = table.signed(evens + [q])
         for j in range(1, n + 1):
             head = a[2 * j - 2]
@@ -246,18 +248,6 @@ def point_to_json(point):
     return out
 
 
-def _integer(value, what):
-    """An integer given in JSON as a number or as decimal text."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    if isinstance(value, str):
-        try:
-            return int(value, 10)
-        except ValueError:
-            pass
-    raise InputError("%s must be an integer, got %r" % (what, value))
-
-
 def point_from_json(obj):
     try:
         field = field_from_json(obj["field"])
@@ -271,7 +261,7 @@ def point_from_json(obj):
         entries = dict(pluecker_table(field, matrix).entries)
         try:
             for rec in obj["pluecker"]:
-                indices = tuple(_integer(i, "a minor index")
+                indices = tuple(json_integer(i, "a minor index")
                                 for i in rec["indices"])
                 value = field.parse(rec["value"])
                 if indices not in entries:
@@ -281,7 +271,7 @@ def point_from_json(obj):
             raise InputError("malformed pluecker record") from e
         table = PlueckerTable(field, n, entries)
     point = GrassmannPoint(field, matrix, table)
-    if "n" in obj and _integer(obj["n"], "n") != point.n:
+    if "n" in obj and json_integer(obj["n"], "n") != point.n:
         raise InputError("declared n does not match the matrix shape")
     return point
 

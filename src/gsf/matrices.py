@@ -2,10 +2,16 @@
 
 Matrices are lists or tuples of rows holding raw field values.  Nothing here
 mutates its inputs.
+
+Over Q and over GF(p) the products, combinations and ranks run on plain
+Python integers: over Q on numerators over one common denominator, over
+GF(p) on residues reduced once per output entry.  GF(p^k) goes through the
+field's own methods.
 """
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 
@@ -78,8 +84,9 @@ def cleared_columns(rows):
 
 
 def integer_row_product(nums, cols):
-    """The integer row times the matrix whose cleared_columns are cols, one
-    integer dot product per column, or None when the row is all zero."""
+    """The integer row times the matrix whose integer columns are cols (as
+    cleared_columns or, over GF(p), sparse_columns gives them), one integer
+    dot product per column, or None when the row is all zero."""
     if not any(nums):
         return None
     return [sum(nums[i] * v for i, v in col) for col in cols]
@@ -96,6 +103,8 @@ def _fractions(nums, den):
 def mat_mul(field, a, b):
     if field.kind == "rationals":
         return _mat_mul_rational(a, b)
+    if field.kind == "prime":
+        return _mat_mul_prime(field, a, b)
     cols = sparse_columns(field, b)
     out = []
     for row in a:
@@ -117,6 +126,18 @@ def _mat_mul_rational(a, b):
     return out
 
 
+def _mat_mul_prime(field, a, b):
+    """mat_mul over GF(p): one integer dot product per output entry,
+    reduced once."""
+    p, cols = field.p, sparse_columns(field, b)
+    out = []
+    for row in a:
+        prod = integer_row_product(row, cols)
+        out.append([0] * len(cols) if prod is None
+                   else [v % p for v in prod])
+    return out
+
+
 def embedded_product(field, blocks, dim):
     """The product of identity matrices of the given dimension, each with a
     block written at its 0-based positions, leftmost factor applied first to
@@ -126,6 +147,8 @@ def embedded_product(field, blocks, dim):
     entries all vanish does not change at all."""
     if field.kind == "rationals":
         return _embedded_product_rational(blocks, dim)
+    if field.kind == "prime":
+        return _embedded_product_prime(field, blocks, dim)
     out = identity(field, dim)
     for block, at in blocks:
         cols = sparse_columns(field, block)
@@ -135,6 +158,20 @@ def embedded_product(field, blocks, dim):
                 for p, v in zip(at, prod):
                     row[p] = v
     return out
+
+
+def _embedded_product_prime(field, blocks, dim):
+    """embedded_product over GF(p): each touched entry one integer dot
+    product, reduced once."""
+    p, rows = field.p, identity(field, dim)
+    for block, at in blocks:
+        cols = sparse_columns(field, block)
+        for row in rows:
+            prod = integer_row_product([row[k] for k in at], cols)
+            if prod is not None:
+                for k, v in zip(at, prod):
+                    row[k] = v % p
+    return rows
 
 
 def _embedded_product_rational(blocks, dim):
@@ -200,6 +237,8 @@ def maximal_minors(field, rows):
 
 def combine(field, weights, rows):
     """The linear combination sum of weights[i] * rows[i], entry by entry."""
+    if field.kind == "prime":
+        return _combine_prime(field.p, weights, rows)
     add, mul, zero = field.add, field.mul, field.zero
     out = [zero] * len(rows[0])
     for w, row in zip(weights, rows):
@@ -207,6 +246,11 @@ def combine(field, weights, rows):
             out = [add(o, mul(w, v)) if v != zero else o
                    for o, v in zip(out, row)]
     return out
+
+
+def _combine_prime(p, weights, rows):
+    """combine over GF(p): one integer dot product per entry, reduced once."""
+    return [sum(map(operator.mul, weights, col)) % p for col in zip(*rows)]
 
 
 def rank(field, rows):
@@ -217,6 +261,8 @@ def rank(field, rows):
         return 0
     if field.kind == "rationals":
         return _rank_bareiss([cleared(r)[0] for r in rows])
+    if field.kind == "prime":
+        return _rank_prime(field.p, rows)
     return _rank_gauss(field, rows)
 
 
@@ -255,6 +301,28 @@ def _rank_gauss(field, m):
                 f = field.mul(m[i][c], inv)
                 for j in range(c, ncols):
                     m[i][j] = field.sub(m[i][j], field.mul(f, m[r][j]))
+        r += 1
+        if r == nrows:
+            break
+    return r
+
+
+def _rank_prime(p, m):
+    """Gaussian elimination on residues: each entry of a row operation is
+    reduced once, and the pivot inverse is taken by pow."""
+    nrows, ncols = len(m), len(m[0])
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, nrows) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        top = m[r]
+        inv = pow(top[c], -1, p)
+        for i in range(r + 1, nrows):
+            if m[i][c]:
+                f = m[i][c] * inv % p
+                m[i] = [(v - f * t) % p for v, t in zip(m[i], top)]
         r += 1
         if r == nrows:
             break

@@ -9,12 +9,13 @@ and builds each of them at most once; every builder and slot helper takes a
 point, a table or a Construction.
 """
 
+import itertools
 from dataclasses import dataclass
 
 from . import matrices
 from .combinatorics import complement, gon_positions, simplex_positions
 from .errors import ConstructionError, InputError, ReductionError, StructuralError
-from .grassmann import as_table
+from .grassmann import as_table, phi_row
 
 
 @dataclass(frozen=True)
@@ -77,12 +78,13 @@ _KEPT_ERRORS = (ConstructionError, InputError, ReductionError, StructuralError)
 class Construction:
     """The operator families of one minor table, each built on first use.
 
-    It holds A(q) and B(q), with A.B = I checked once per q, R(q) and the
-    slot positions, plus whatever a caller files under `cached`.  A build
-    that raises is kept as that raise, so asking again fails the same way.
-    Z is not kept: no caller asks for the same (q, lam) twice.  Meant to
-    live for one call: nothing is stored on the point or table.  The values
-    handed out are shared and must not be mutated.
+    It holds A(q) and B(q), with A.B = I checked once per q, R(q), the
+    slot positions and the phi(c, q) coefficient rows, plus whatever a
+    caller files under `cached`.  A build that raises is kept as that
+    raise, so asking again fails the same way.  Z is not kept: no caller
+    asks for the same (q, lam) twice.  Meant to live for one call: nothing
+    is stored on the point or table.  The values handed out are shared and
+    must not be mutated.
     """
 
     def __init__(self, x):
@@ -126,6 +128,19 @@ class Construction:
 
     def R(self, q):
         return self.cached(("R", q), lambda: build_R(self, q))
+
+    def phi_subsets(self, q):
+        """The ascending (n-1)-tuples of labels without q: the columns of
+        every phi(c, q) row."""
+        return self.cached(("phi subsets", q), lambda: [
+            k for k in itertools.combinations(range(1, 2 * self.n + 2),
+                                              self.n - 1) if q not in k])
+
+    def phi_row(self, c, q):
+        """The coefficients of phi(c, q) at phi_subsets(q), read by the
+        plucker, intertwining and ranks checks."""
+        return self.cached(("phi", c, q), lambda: phi_row(
+            self.table, c, q, self.phi_subsets(q)))
 
     def gon_positions(self, q):
         return self.cached(("gon positions", q),

@@ -237,7 +237,6 @@ def verify_intertwining(x):
     table, n, field = con.table, con.n, con.field
     report = VerificationReport("intertwining", {"n": n})
     labels = range(1, 2 * n + 2)
-    ks_all = list(itertools.combinations(labels, n - 1))
     ms_all = list(itertools.combinations(labels, n + 3))
     one = field.one
     minus = field.neg(one)
@@ -247,10 +246,9 @@ def verify_intertwining(x):
             a = complement(n, q)
             a_block = con.A(q)
             b_block = con.B(q)
-            ks = [k for k in ks_all if q not in k]
             ms = [m for m in ms_all if q in m]
-            phi_odd = [phi_row(table, c, q, ks) for c in a[0::2]]
-            phi_even = [phi_row(table, c, q, ks) for c in a[1::2]]
+            phi_odd = [con.phi_row(c, q) for c in a[0::2]]
+            phi_even = [con.phi_row(c, q) for c in a[1::2]]
             psi_odd = [psi_row(table, c, q, ms) for c in a[0::2]]
             psi_even = [psi_row(table, c, q, ms) for c in a[1::2]]
             for k in range(n):
@@ -274,19 +272,16 @@ def verify_ranks(x):
     coefficient rows.  A family that mixes labels q is indexed by every
     subset of one size, since zero columns leave the rank alone."""
     watch = Stopwatch()
-    table = construction(x).table
-    n, field = table.n, table.field
+    con = construction(x)
+    table, n, field = con.table, con.n, con.field
     report = VerificationReport("ranks", {"n": n})
 
     def body():
         labels = range(1, 2 * n + 2)
         ks_all = list(itertools.combinations(labels, n - 1))
-        cases = []
-        for j in labels:
-            ks = [k for k in ks_all if j not in k]
-            cases.append(("fixed-%d" % j,
-                          [phi_row(table, i, j, ks) for i in labels if i != j],
-                          n))
+        cases = [("fixed-%d" % j,
+                  [con.phi_row(i, j) for i in labels if i != j], n)
+                 for j in labels]
         odds = list(range(1, 2 * n + 2, 2))
         evens = list(range(2, 2 * n + 2, 2))
         cases.append(("odd-even",
@@ -362,7 +357,7 @@ def verify_reduction(x, lambdas=None, depth=1):
 # module attribute (a tracer's wrapper, say) is honoured.
 _CHECKS = {
     "assumption": lambda con, **_: assumption_check(con.table),
-    "plucker": lambda con, **_: verify_plucker_relations(con.table),
+    "plucker": lambda con, **_: verify_plucker_relations(con),
     "gon": lambda con, **_: verify_gon(con),
     "simplex": lambda con, **_: verify_simplex(con),
     "colors": lambda con, **_: verify_colors(con),
@@ -374,16 +369,20 @@ _CHECKS = {
 
 CHECK_NAMES = tuple(_CHECKS)
 
-# the checks that read the shared equation sides
-_SIDE_READERS = {"gon", "simplex", "colors", "green"}
+# the kinds of shared value a Construction keeps -> the checks that read them
+_SHARED = {
+    ("gon side", "simplex sides"): {"gon", "simplex", "colors", "green"},
+    ("phi", "phi subsets"): {"plucker", "intertwining", "ranks"},
+}
 
 
 def run_checks(x, checks=None, lambdas=None, depth=1):
     """Run the named checks (all of them by default) and return the reports.
 
     The checks share one Construction, made for this call and dropped with
-    it, so each operator, position list and equation side is built once;
-    the sides are dropped as soon as no later check reads them."""
+    it, so each operator, position list, phi row and equation side is built
+    once; the sides and the phi rows are dropped as soon as no later check
+    reads them."""
     checks = CHECK_NAMES if checks is None else list(checks)
     unknown = [c for c in checks if c not in CHECK_NAMES]
     if unknown:
@@ -392,7 +391,8 @@ def run_checks(x, checks=None, lambdas=None, depth=1):
     reports = []
     for t, name in enumerate(checks):
         reports.append(_CHECKS[name](con, lambdas=lambdas, depth=depth))
-        if not _SIDE_READERS.intersection(checks[t + 1:]):
-            # no later check reads them; free them for the ones that remain
-            con.forget("gon side", "simplex sides")
+        for kinds, readers in _SHARED.items():
+            if not readers.intersection(checks[t + 1:]):
+                # no later check reads them; free them for the ones that remain
+                con.forget(*kinds)
     return reports

@@ -242,8 +242,20 @@ def test_verify_flags_a_corrupted_table(capsys, tmp_path, trigon_point):
     {"pluecker": 7},
     {"n": "x"},
     {"n": 1.0},
+    {"field": {"kind": "prime", "p": 7.5}},
+    {"field": {"kind": "prime", "p": 7.0}},
+    {"field": {"kind": "prime", "p": True}},
+    {"field": {"kind": "extension", "p": 3.0, "k": 2, "modulus": [1, 0, 1]}},
+    {"field": {"kind": "extension", "p": 3, "k": 2.0, "modulus": [1, 0, 1]}},
+    {"field": {"kind": "extension", "p": 3, "k": 2,
+               "modulus": [1, 0.5, 1]}},
+    {"field": {"kind": "extension", "p": 3, "k": 2,
+               "modulus": [True, False, True]}},
+    {"field": {"kind": "extension", "p": 3, "k": 2, "modulus": "101"}},
 ], ids=["no-indices", "no-value", "text-index", "float-index",
-        "record-not-object", "list-not-array", "n-text", "n-float"])
+        "record-not-object", "list-not-array", "n-text", "n-float",
+        "p-float", "p-integral-float", "p-bool", "extension-p-float",
+        "k-float", "modulus-float", "modulus-bool", "modulus-text"])
 def test_verify_malformed_point_exits_2(capsys, tmp_path, trigon_point, edit):
     obj = json.load(open(trigon_point))
     obj.update(edit)

@@ -4,17 +4,20 @@
 product on zero-heavy blocks, and over Q also on blocks with mixed and large
 denominators.  `run_checks`, which shares one Construction across all
 checks, is held to each check called alone, on honest tables and on
-corrupted ones.
+corrupted ones, and in any order and subset of the checks that share the
+phi rows.
 """
 
 import copy
 import json
+import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from gsf import cli, matrices, solutions, verify
+from gsf import cli, grassmann, matrices, solutions, verify
 from gsf.errors import ConstructionError, SamplingError, StructuralError
 from gsf.field import field_create
 from gsf.grassmann import GrassmannPoint, random_point, save_point
@@ -23,6 +26,7 @@ from gsf.solutions import Construction, OperatorSlot
 FIELDS = ["q", "gf(11)", "gf(7,2;1,0,1)", "gf(2,2;1,1,1)"]
 
 SINGLE_CHECKS = {
+    "plucker": grassmann.verify_plucker_relations,
     "gon": verify.verify_gon,
     "simplex": verify.verify_simplex,
     "colors": verify.verify_colors,
@@ -181,8 +185,8 @@ def test_rational_Z_equals_its_elimination_and_its_plain_factored_form(
             assert z == factored
 
 
-# Mutants of the kernel that finite fields run (row_product) and of the one
-# that Q runs (integer_row_product, and the row denominators of the side
+# Mutants of the kernel that extension fields run (row_product) and of the
+# one that Q runs (integer_row_product, and the row denominators of the side
 # product).
 ROW_PRODUCT = matrices.row_product
 INTEGER_ROW_PRODUCT = matrices.integer_row_product
@@ -225,10 +229,11 @@ def _leaves_untouched_columns_unscaled(blocks, dim):
 
 
 # mutant -> (the kernel it replaces, the fields that run that kernel, whether
-# mat_mul runs it too)
+# mat_mul runs it too); GF(p) runs the integer kernel of
+# tests/test_prime_kernel.py, not row_product
 MUTANTS = {
-    _skips_rows_led_by_zero: ("row_product", FIELDS[1:], True),
-    _drops_the_last_term: ("row_product", FIELDS[1:], True),
+    _skips_rows_led_by_zero: ("row_product", FIELDS[2:], True),
+    _drops_the_last_term: ("row_product", FIELDS[2:], True),
     _skips_integer_rows_led_by_zero: ("integer_row_product", ["q"], True),
     _drops_the_last_integer_term: ("integer_row_product", ["q"], True),
     _leaves_untouched_columns_unscaled:
@@ -329,6 +334,86 @@ def test_shared_construction_matches_each_check_alone(descriptor, n):
             assert ((report.status, report.witness, report.params)
                     == (alone.status, alone.witness, alone.params)), \
                 (descriptor, n, name, report.check)
+
+
+PHI_READER_ORDERS = [
+    ["ranks", "plucker"], ["intertwining"], ["plucker"], ["ranks"],
+    ["intertwining", "plucker", "ranks"], ["ranks", "intertwining"],
+    ["plucker", "gon", "intertwining", "assumption", "ranks"],
+]
+
+
+@pytest.mark.parametrize("descriptor", ["gf(11)", "gf(1000003)"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_the_phi_readers_in_any_order_match_each_check_alone(descriptor, n):
+    field = field_create(descriptor)
+    failed = set()
+    for name, x in variants(sample_point(field, n, seed=5 * n)):
+        alone = {check: SINGLE_CHECKS[check](x)
+                 for check in ("plucker", "intertwining", "ranks")}
+        failed.update(c for c, r in alone.items() if r.status == "fail")
+        for checks in PHI_READER_ORDERS:
+            for report in verify.run_checks(x, checks=checks):
+                if report.check in alone:
+                    want = alone[report.check]
+                    assert ((report.status, report.witness, report.params)
+                            == (want.status, want.witness, want.params)), \
+                        (descriptor, n, name, checks, report.check)
+    # the corrupted tables fail every one of the three
+    assert failed == {"plucker", "intertwining", "ranks"}
+
+
+def _count_phi_rows(monkeypatch):
+    """Count grassmann.phi_row calls by (c, q, subsets), under every module
+    name bound to it."""
+    built = Counter()
+    fn = grassmann.phi_row
+
+    def counting(table, c, q, subsets):
+        built[c, q, tuple(subsets)] += 1
+        return fn(table, c, q, subsets)
+    for module in (grassmann, solutions, verify):
+        if getattr(module, "phi_row", None) is fn:
+            monkeypatch.setattr(module, "phi_row", counting)
+    return built
+
+
+@pytest.mark.parametrize("descriptor", ["q", "gf(1000003)"])
+def test_each_phi_row_is_built_once_per_call(monkeypatch, descriptor):
+    point = sample_point(field_create(descriptor), 3, seed=4)
+    n = point.n
+    built = _count_phi_rows(monkeypatch)
+    verify.run_checks(point)
+    assert set(built.values()) == {1}
+    labels = range(1, 2 * n + 2)
+    without = {(c, q) for c, q, subsets in built
+               if len(subsets) == math.comb(2 * n, n - 1)}
+    assert without == {(c, q) for c in labels for q in labels if c != q}
+    # plus the odd-even and odd-odd families of ranks, over all subsets
+    assert len(built) == len(without) + n * (n + 1)
+    # nothing outlives the call: a second call builds every row again
+    first = dict(built)
+    built.clear()
+    verify.run_checks(point)
+    assert dict(built) == first
+
+
+def test_no_phi_row_is_kept_once_ranks_has_run(monkeypatch, mod11_points):
+    point = mod11_points[3]
+    kept = {}
+    for check in ("verify_intertwining", "verify_ranks", "verify_reduction"):
+        fn = getattr(verify, check)
+
+        def spying(con, *args, _check=check, _fn=fn, **kw):
+            kept[_check] = [k for k in con._memo
+                            if k[0] in ("phi", "phi subsets")]
+            return _fn(con, *args, **kw)
+        monkeypatch.setattr(verify, check, spying)
+    verify.run_checks(point)
+    # plucker's rows are there for intertwining, and gone after ranks
+    labels = 2 * point.n + 1
+    assert len(kept["verify_intertwining"]) == labels * (labels - 1) + labels
+    assert kept["verify_reduction"] == []
 
 
 def test_the_comparison_meets_every_kind_of_failure():

@@ -333,16 +333,41 @@ POINTS_JSON = JSON_VALUES | st.fixed_dictionaries(
                       "n": JSON_VALUES, "pluecker": JSON_VALUES})
 
 
+def _inexact_parameter(record):
+    """Whether a prime or extension field record gives p, k or a modulus
+    coefficient as a float or a bool, which must be refused rather than
+    truncated."""
+    if not isinstance(record, dict):
+        return False
+    if record.get("kind") == "prime":
+        values = [record.get("p")]
+    elif record.get("kind") == "extension":
+        modulus = record.get("modulus")
+        values = [record.get("p"), record.get("k")] + \
+            (modulus if isinstance(modulus, list) else [])
+    else:
+        return False
+    return any(isinstance(v, (float, bool)) for v in values)
+
+
 @settings(max_examples=300)
 @given(POINTS_JSON)
 @example({"field": {"kind": "prime", "p": math.inf},
           "matrix": [[1, 0, 1], [0, 1, 1]]})
 @example({"field": {"kind": "extension", "p": 3, "k": math.inf,
                     "modulus": [1, 0, 1]}, "matrix": [[1, 0, 1], [0, 1, 1]]})
+@example({"field": {"kind": "prime", "p": 7.5},
+          "matrix": [[1, 0, 1], [0, 1, 1]]})
+@example({"field": {"kind": "extension", "p": 3, "k": 2.0,
+                    "modulus": [1, 0, 1]}, "matrix": [[1, 0, 1], [0, 1, 1]]})
+@example({"field": {"kind": "extension", "p": 3, "k": 2,
+                    "modulus": [True, False, True]},
+          "matrix": [[1, 0, 1], [0, 1, 1]]})
 def test_point_from_json_raises_input_error_or_returns_a_point(obj):
     try:
         point = point_from_json(obj)
     except InputError:
         return
     assert isinstance(point, GrassmannPoint)
+    assert not _inexact_parameter(obj.get("field"))
     assert len(point.table.entries) == math.comb(2 * point.n + 1, point.n + 1)
