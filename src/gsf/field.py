@@ -47,6 +47,19 @@ def _is_prime(m):
     return True
 
 
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+_RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+
+
+def _decimal(text):
+    """The integer written as an optional sign then ASCII digits; ValueError
+    on anything else.  int() alone would also take surrounding whitespace,
+    underscores between digits and non-ASCII digits."""
+    if not _INTEGER.fullmatch(text):
+        raise ValueError("not a decimal integer: %r" % (text,))
+    return int(text, 10)
+
+
 def _poly_eval(coeffs, x, p):
     acc = 0
     for c in reversed(coeffs):
@@ -147,10 +160,14 @@ class RationalField(Field):
         return Fraction(rng.randint(-self.bound, self.bound))
 
     def parse(self, value):
-        try:
-            return Fraction(str(value))
-        except (ValueError, ZeroDivisionError) as e:
-            raise InputError("bad rational scalar %r" % (value,)) from e
+        """An integer, or an integer over a positive integer, in decimal."""
+        text = str(value)
+        if _RATIONAL.fullmatch(text):
+            try:
+                return Fraction(text)
+            except (ValueError, ZeroDivisionError):
+                pass  # a zero denominator, or more digits than int() reads
+        raise InputError("bad rational scalar %r" % (value,))
 
     def fmt(self, a):
         return str(a)
@@ -201,7 +218,7 @@ class PrimeField(Field):
 
     def parse(self, value):
         try:
-            return int(str(value), 10) % self.p
+            return _decimal(str(value)) % self.p
         except ValueError as e:
             raise InputError("bad prime-field scalar %r" % (value,)) from e
 
@@ -297,7 +314,7 @@ class ExtensionField(Field):
         else:
             parts = str(value).split(":")
         try:
-            coeffs = [int(s, 10) for s in parts]
+            coeffs = [_decimal(s) for s in parts]
         except ValueError as e:
             raise InputError("bad extension-field scalar %r" % (value,)) from e
         if len(coeffs) > self.k:
@@ -335,13 +352,13 @@ def field_create(descriptor):
 
 
 def json_integer(value, what):
-    """An integer given in JSON as a number or as decimal text; a float or
-    a bool is refused, not truncated."""
+    """An integer given in JSON as a number or as decimal text (an optional
+    sign, then digits); a float or a bool is refused, not truncated."""
     if isinstance(value, int) and not isinstance(value, bool):
         return value
     if isinstance(value, str):
         try:
-            return int(value, 10)
+            return _decimal(value)
         except ValueError:
             pass
     raise InputError("%s must be an integer, got %r" % (what, value))

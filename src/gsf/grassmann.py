@@ -81,9 +81,10 @@ def pluecker_table(field, rows):
     check_n(n)
     if any(len(r) != 2 * n + 1 for r in rows):
         raise InputError("matrix must be (n+1) x (2n+1)")
+    # maximal_minors keys its minors in lexicographic order
     minors = matrices.maximal_minors(field, rows)
-    entries = {tuple(c + 1 for c in k): v for k, v in minors.items()}
-    return PlueckerTable(field, n, entries)
+    keys = itertools.combinations(range(1, 2 * n + 2), n + 1)
+    return PlueckerTable(field, n, dict(zip(keys, minors.values())))
 
 
 class GrassmannPoint:
@@ -130,15 +131,19 @@ def assumption_check(x):
 
 
 def random_point(n, field, seed=None, max_tries=10000):
-    """Seeded rejection sampling until every maximal minor is nonzero."""
+    """Seeded rejection sampling until every maximal minor is nonzero; the
+    accepted point keeps the table its test was made on."""
     check_n(n)
     rng = random.Random(seed)
     for _ in range(max_tries):
         matrix = [[field.random(rng) for _ in range(2 * n + 1)]
                   for _ in range(n + 1)]
-        table = pluecker_table(field, matrix)
-        if table.all_nonzero():
-            return GrassmannPoint(field, matrix)
+        try:
+            point = GrassmannPoint(field, matrix)
+        except InputError:
+            continue  # dependent rows: every minor vanishes
+        if point.table.all_nonzero():
+            return point
     raise SamplingError(
         "no matrix with all minors nonzero after %d tries; the field may be "
         "too small for n=%d" % (max_tries, n))

@@ -3,12 +3,13 @@
 Matrices are lists or tuples of rows holding raw field values.  Nothing here
 mutates its inputs.
 
-Over Q and over GF(p) the products, combinations and ranks run on plain
-Python integers: over Q on numerators over one common denominator, over
-GF(p) on residues reduced once per output entry.  GF(p^k) goes through the
-field's own methods.
+Over Q and over GF(p) the products, combinations, ranks and maximal minors
+run on plain Python integers: over Q on numerators over a common
+denominator, over GF(p) on residues reduced once per output entry.  GF(p^k)
+goes through the field's own methods.
 """
 
+import functools
 import itertools
 import math
 import operator
@@ -210,11 +211,67 @@ def embed_block(field, block, positions, dim):
 
 
 def maximal_minors(field, rows):
-    """All maximal minors of a wide matrix, keyed by 0-based column tuples.
+    """All maximal minors of a wide matrix, keyed by 0-based column tuples
+    in lexicographic order.
 
     Row-at-a-time Laplace expansion, so the whole computation is division
-    free and works over every supported field.
+    free.  Over GF(p) it runs on residues, each minor reduced once; over Q
+    on each row's integer numerators over its own denominator, with one
+    Fraction made per minor; GF(p^k) goes through the field's methods.
     """
+    keys = itertools.combinations(range(len(rows[0])), len(rows))
+    if field.kind == "prime":
+        return dict(zip(keys, _integer_minors(rows, field.p)))
+    if field.kind == "rationals":
+        nums, dens = zip(*map(cleared, rows))
+        return dict(zip(keys, _fractions(_integer_minors(nums),
+                                         math.prod(dens))))
+    return _maximal_minors_generic(field, rows)
+
+
+# the terms depend on the shape only, so repeated draws and loads at one n
+# share them; 16 shapes hold every r of one n up to n = 15
+@functools.lru_cache(maxsize=16)
+def _laplace_terms(ncols, r):
+    """The expansion of the r-column minors of the first r rows along row r,
+    for every r-subset T of the columns in lexicographic order: one pair per
+    position t in T, of the column T[t] and the index of the (r-1)-subset T
+    without T[t] in lexicographic order, each a tuple over all T.  The
+    term at position t carries the sign (-1)^(r-1+t)."""
+    subsets = list(itertools.combinations(range(ncols), r))
+    index = {k: i for i, k in
+             enumerate(itertools.combinations(range(ncols), r - 1))}
+    # combinations(T, r - 1) drops T's last column first and its first last
+    drops = list(map(index.__getitem__, itertools.chain.from_iterable(
+        map(itertools.combinations, subsets, itertools.repeat(r - 1)))))
+    return tuple((col, tuple(drops[r - 1 - t::r]))
+                 for t, col in enumerate(zip(*subsets)))
+
+
+def _integer_minors(rows, p=None):
+    """The maximal minors of an integer matrix in lexicographic column
+    order, each sum of products reduced mod p once when p is given."""
+    ncols = len(rows[0])
+    if len(rows) > ncols:
+        return []
+    prev = [v % p for v in rows[0]] if p else list(rows[0])
+    for r, row in enumerate(rows[1:], start=2):
+        acc = None
+        for t, (col, drop) in enumerate(_laplace_terms(ncols, r)):
+            terms = map(operator.mul, map(row.__getitem__, col),
+                        map(prev.__getitem__, drop))
+            odd = (r - 1 + t) % 2
+            if acc is None:
+                acc = [-v for v in terms] if odd else list(terms)
+            else:
+                acc = list(map(operator.sub if odd else operator.add,
+                               acc, terms))
+        prev = [v % p for v in acc] if p else acc
+    return prev
+
+
+def _maximal_minors_generic(field, rows):
+    """maximal_minors through the field's own add, mul and neg."""
     ncols = len(rows[0])
     zero = field.zero
     prev = {(): field.one}

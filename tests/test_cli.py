@@ -199,6 +199,17 @@ def test_verify_rejects_unknown_checks(capsys, trigon_point):
     assert "frobnication" in err
 
 
+@pytest.mark.parametrize("lam", ["1_0", " 1", "1.5", "7/-3", "1e2"])
+def test_verify_and_build_refuse_a_loose_reduction_parameter(
+        capsys, trigon_point, lam):
+    code, out, err = run(capsys, ["verify", "--point", trigon_point,
+                                  "--checks", "reduction", "--lambda", lam])
+    assert (code, out) == (2, "") and err.startswith("error:")
+    code, out, err = run(capsys, ["build", "--point", trigon_point,
+                                  "--what", "Z", "--q", "1", "--lambda", lam])
+    assert (code, out) == (2, "") and err.startswith("error:")
+
+
 def test_verify_accepts_reduction_parameters(capsys, trigon_point):
     code, out, _ = run(capsys, ["verify", "--point", trigon_point,
                                 "--checks", "reduction",
@@ -252,10 +263,34 @@ def test_verify_flags_a_corrupted_table(capsys, tmp_path, trigon_point):
     {"field": {"kind": "extension", "p": 3, "k": 2,
                "modulus": [True, False, True]}},
     {"field": {"kind": "extension", "p": 3, "k": 2, "modulus": "101"}},
+    {"field": {"kind": "prime", "p": " 1_1 "}},
+    {"field": {"kind": "extension", "p": "3", "k": "2",
+               "modulus": ["1", "0", "1_0"]}},
+    {"n": "0_1"},
+    {"n": " 1"},
+    {"pluecker": [{"indices": [" 1", "2"], "value": "-3"}]},
+    {"matrix": [["1_0", "-2", "0"], ["0", "-3", "1"]]},
+    {"matrix": [[" 1", "-2", "0"], ["0", "-3", "1"]]},
+    {"matrix": [["1.0", "-2", "0"], ["0", "-3", "1"]]},
+    {"matrix": [["1", "-2", "0"], ["0", "-3/1_0", "1"]]},
+    {"matrix": [["1", "-2", "0"], ["0", "\u0663", "1"]]},
+    {"field": {"kind": "prime", "p": 7},
+     "matrix": [["1 ", "5", "0"], ["0", "4", "1"]]},
+    {"field": {"kind": "prime", "p": 7},
+     "matrix": [["1", "5", "0"], ["0", "+_4", "1"]]},
+    {"field": {"kind": "extension", "p": 3, "k": 2, "modulus": [1, 0, 1]},
+     "matrix": [["1_0:0", "1", "0"], ["0", "1", "1"]]},
+    {"field": {"kind": "extension", "p": 3, "k": 2, "modulus": [1, 0, 1]},
+     "matrix": [[["1", " 0"], "1", "0"], ["0", "1", "1"]]},
 ], ids=["no-indices", "no-value", "text-index", "float-index",
         "record-not-object", "list-not-array", "n-text", "n-float",
         "p-float", "p-integral-float", "p-bool", "extension-p-float",
-        "k-float", "modulus-float", "modulus-bool", "modulus-text"])
+        "k-float", "modulus-float", "modulus-bool", "modulus-text",
+        "p-spaced-underscored", "modulus-underscored", "n-underscored",
+        "n-spaced", "index-spaced", "q-underscored", "q-spaced",
+        "q-decimal", "q-denominator-underscored", "q-arabic-indic-digit",
+        "prime-spaced", "prime-sign-underscore", "extension-underscored",
+        "extension-coefficient-spaced"])
 def test_verify_malformed_point_exits_2(capsys, tmp_path, trigon_point, edit):
     obj = json.load(open(trigon_point))
     obj.update(edit)

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -299,7 +300,8 @@ JSON_VALUES = st.recursive(
 # a record of each key with the right type more often than chance, so that
 # records get past the first key and some of them load
 ENTRIES = st.integers(-3, 3) | st.sampled_from(
-    ["1/2", "-7", "1:1", "x", "1/0", [1, 0], [1, 2, 3], None, 2.5, True])
+    ["1/2", "-7", "1:1", "x", "1/0", [1, 0], [1, 2, 3], None, 2.5, True,
+     "+2", "1_0", " 1", "0.5", "1:1_0"])
 FIELDS_JSON = JSON_VALUES | st.sampled_from(
     ["q", "gf(11)", "gf(3,2;1,0,1)", "gf(4)", "gf(3,2;1,1,1)",
      {"kind": "rationals"}, {"kind": "prime", "p": 7},
@@ -307,7 +309,8 @@ FIELDS_JSON = JSON_VALUES | st.sampled_from(
     | st.fixed_dictionaries(
         {"kind": st.sampled_from(["rationals", "prime", "extension", "z"])
          | JSON_VALUES},
-        optional={"p": st.sampled_from([2, 3, 7, 8, -5, "7", math.inf])
+        optional={"p": st.sampled_from([2, 3, 7, 8, -5, "7", math.inf,
+                                        "+7", " 7", "1_1"])
                   | JSON_VALUES,
                   "k": st.sampled_from([1, 2, 3, 5, math.inf]) | JSON_VALUES,
                   "modulus": st.lists(st.integers(0, 3), max_size=4)
@@ -350,8 +353,48 @@ def _inexact_parameter(record):
     return any(isinstance(v, (float, bool)) for v in values)
 
 
+# the text forms a point record may use: a decimal integer, a fraction of
+# one over digits, or colon-joined integers
+STRICT_TEXT = re.compile(r"[+-]?[0-9]+(?:/[0-9]+|(?::[+-]?[0-9]+)*)")
+
+
+def _loose_texts(record):
+    """The texts of a point record, other than its field's kind or
+    descriptor, in none of the strict forms (holding whitespace, an
+    underscore, a decimal point or a non-ASCII digit); a record that loads
+    has none."""
+    def texts(value):
+        if isinstance(value, str):
+            yield value
+        elif isinstance(value, dict):
+            yield from texts(list(value.values()))
+        elif isinstance(value, list):
+            for v in value:
+                yield from texts(v)
+
+    field = record.get("field")
+    parts = [v for k, v in record.items() if k != "field"]
+    if isinstance(field, dict):
+        parts += [v for k, v in field.items() if k != "kind"]
+    return [t for t in texts(parts) if not STRICT_TEXT.fullmatch(t)]
+
+
+MATRIX_N1 = [[1, 0, 1], [0, 1, 1]]
+
+
 @settings(max_examples=300)
 @given(POINTS_JSON)
+@example({"field": {"kind": "prime", "p": " 1_1 "}, "n": "0_1",
+          "matrix": MATRIX_N1})
+@example({"field": {"kind": "extension", "p": "3 ", "k": "2",
+                    "modulus": [1, 0, 1]}, "matrix": MATRIX_N1})
+@example({"field": "q", "matrix": [["1_0", "0", "1"], ["0", "1", "1"]]})
+@example({"field": "q", "matrix": [["0.5", "0", "1"], ["0", "1", "1"]]})
+@example({"field": "gf(7)", "matrix": [["1", "0", "1"], ["0", "1", "\t1"]]})
+@example({"field": "gf(3,2;1,0,1)",
+          "matrix": [["1_0:2", "0", "1"], ["0", "1", "1"]]})
+@example({"field": "q", "matrix": MATRIX_N1,
+          "pluecker": [{"indices": ["1", "+2 "], "value": "1"}]})
 @example({"field": {"kind": "prime", "p": math.inf},
           "matrix": [[1, 0, 1], [0, 1, 1]]})
 @example({"field": {"kind": "extension", "p": 3, "k": math.inf,
@@ -370,4 +413,5 @@ def test_point_from_json_raises_input_error_or_returns_a_point(obj):
         return
     assert isinstance(point, GrassmannPoint)
     assert not _inexact_parameter(obj.get("field"))
+    assert not _loose_texts(obj)
     assert len(point.table.entries) == math.comb(2 * point.n + 1, point.n + 1)
