@@ -15,7 +15,7 @@ from .combinatorics import (color_positions, gon_positions, sim_sequence,
                             simplex_positions)
 from .errors import (ConstructionError, InputError, ReductionError,
                      SamplingError, StructuralError)
-from .field import field_create
+from .field import field_create, json_integer
 from .grassmann import load_point, point_to_json, random_point, save_point
 from .solutions import (Construction, gon_slot, gon_inverse_slot,
                         reduced_slot, simplex_slot)
@@ -31,14 +31,15 @@ def _emit(obj, path=None):
         sys.stdout.write(text + "\n")
 
 
+def integer(text):
+    """Decimal text read strictly, as in point files: an optional sign,
+    then ASCII digits.  Its name is the type argparse names on a refusal."""
+    return json_integer(text, "the value")
+
+
 def _seed(args):
     env = os.environ.get("GSF_SEED")
-    if env is None:
-        return args.seed
-    try:
-        return int(env, 10)
-    except ValueError as e:
-        raise InputError("GSF_SEED must be an integer, got %r" % env) from e
+    return args.seed if env is None else json_integer(env, "GSF_SEED")
 
 
 def cmd_gen(args):
@@ -69,7 +70,7 @@ def cmd_build(args):
         labels = list(range(1, top + 1))
     else:
         try:
-            labels = [int(args.q, 10)]
+            labels = [json_integer(args.q, "--q")]
         except ValueError as e:
             raise InputError("--q takes a label or 'all'") from e
         if not 1 <= labels[0] <= top:
@@ -146,10 +147,10 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="sample a point with all minors nonzero")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=integer, required=True)
     p.add_argument("--field", default="q",
                    help="q, gf(p), or gf(p,k;c0,...,ck)")
-    p.add_argument("--seed", type=int, default=0,
+    p.add_argument("--seed", type=integer, default=0,
                    help="overridden by the GSF_SEED environment variable")
     p.add_argument("--out")
     p.set_defaults(func=cmd_gen)
@@ -171,12 +172,12 @@ def build_parser():
                         % ",".join(CHECK_NAMES))
     p.add_argument("--lam", "--lambda", dest="lam", default=None,
                    help="comma separated reduction parameters")
-    p.add_argument("--depth", type=int, default=1)
+    p.add_argument("--depth", type=integer, default=1)
     p.add_argument("--out")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("positions", help="print the equation layouts")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=integer, required=True)
     p.add_argument("--equation", choices=("gon", "simplex"), default=None)
     p.add_argument("--coloring", action="store_true")
     p.add_argument("--out")

@@ -6,7 +6,6 @@ list of n(n+1)/2 pairs that starts at the odd-even pairs and ends at the
 even-odd pairs.
 """
 
-import itertools
 from dataclasses import dataclass
 
 from .errors import InputError, StructuralError

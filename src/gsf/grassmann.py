@@ -166,13 +166,12 @@ def psi(x, i, j):
     return wedge(ei, wedge(ej, table.multivector()))
 
 
-def phi_row(table, c, q, subsets):
-    """Coefficients of phi(x, c, q) at the given ascending (n-1)-tuples K:
-    the minor at columns (c, q, K), zero where K meets {c, q}.
-
-    Reads the table directly; the sign of sorting (c, q, K) is the parity of
-    #(K < c) + #(K < q) + [c > q]."""
-    entries, neg, zero = table.entries, table.field.neg, table.field.zero
+def phi_row(entries, field, c, q, subsets):
+    """Coefficients of phi(c, q) = i_q i_c w, for the w whose coefficients
+    are entries (a minor table's or its dual_entries), at the ascending
+    tuples K: the entry at (c, q, K), zero where K meets {c, q}.  The sign
+    of sorting (c, q, K) is the parity of #(K < c) + #(K < q) + [c > q]."""
+    neg, zero = field.neg, field.zero
     flip = c > q
     out = []
     for k in subsets:
@@ -185,21 +184,19 @@ def phi_row(table, c, q, subsets):
     return out
 
 
-def psi_row(table, c, q, subsets):
-    """Coefficients of psi(x, c, q) at the given ascending (n+3)-tuples M:
-    the minor at L = M without c and q, signed as the sort of (c, q, L), and
-    zero unless M holds both c and q."""
-    entries, neg, zero = table.entries, table.field.neg, table.field.zero
-    flip = c > q
-    out = []
-    for m in subsets:
-        if c not in m or q not in m:
-            out.append(zero)
-            continue
-        rest = tuple(v for v in m if v != c and v != q)
-        value = entries[rest]
-        odd = flip ^ ((bisect_left(rest, c) + bisect_left(rest, q)) & 1)
-        out.append(neg(value) if odd else value)
+def dual_entries(table):
+    """The Hodge dual of the table w, keyed by ascending n-tuples S:
+    (*w)_S = (-1)^inv(S^c, S) p_{S^c}, where inv(S^c, S) has the parity of
+    sum_{s in S} (2n+1-s) - n(n-1)/2.  The coefficient of psi(c, q) =
+    e_c ^ e_q ^ w at M is eps(M, M^c), the sign of sorting M then M^c,
+    times that of phi_row(dual, field, c, q) at M^c."""
+    n, neg = table.n, table.field.neg
+    shift = n * (n - 1) // 2
+    out = {}
+    for key, value in table.entries.items():
+        s = tuple(v for v in range(1, 2 * n + 2) if v not in key)
+        odd = (sum(2 * n + 1 - v for v in s) - shift) & 1
+        out[s] = neg(value) if odd else value
     return out
 
 
@@ -207,32 +204,27 @@ def verify_plucker_relations(x):
     """Quadratic relations among the minors, one family per label q, column
     j and (n-1)-subset b of the labels.
 
-    For fixed (q, j) the second factor of every term is independent of b,
-    so each family is one linear combination of phi rows; b containing q
-    leave every term zero and are not visited.  Takes a point, a table or
-    a solutions.Construction, whose phi rows it reads."""
+    For fixed (q, j) the second factor of every term is independent of b:
+    the weights are B(q)'s denominator and the signed numerators of its
+    column j, so each family is one linear combination of phi rows, and it
+    runs where that denominator vanishes.  b containing q leave every term
+    zero and are not visited.  Takes a point, a table or a
+    solutions.Construction, whose phi rows it reads."""
     # solutions imports this module, so the import waits for the call
-    from .solutions import construction
+    from .solutions import construction, family_numerators
     watch = Stopwatch()
     con = construction(x)
-    table, n, field = con.table, con.n, con.field
+    n, field = con.n, con.field
     zero = field.zero
     report = VerificationReport("plucker", {"n": n})
     for q in range(1, 2 * n + 2):
         a = complement(n, q)
-        evens = [a[2 * i + 1] for i in range(n)]
         ks = con.phi_subsets(q)
-        rows = {c: con.phi_row(c, q) for c in a}
-        first = table.signed(evens + [q])
+        rows = [con.phi_row(c, q) for c in a]
+        den, nums = family_numerators(con.table, q, use_evens=True)
         for j in range(1, n + 1):
-            head = a[2 * j - 2]
-            weights = [first]
-            for i in range(1, n + 1):
-                rest = [x2 for x2 in evens if x2 != a[2 * i - 1]]
-                second = table.signed([head] + rest + [q])
-                weights.append(field.neg(second) if i % 2 else second)
-            acc = matrices.combine(field, weights,
-                                   [rows[head]] + [rows[e] for e in evens])
+            acc = matrices.combine(field, [den] + [row[j - 1] for row in nums],
+                                   [rows[2 * j - 2]] + rows[1::2])
             t = next((t for t, v in enumerate(acc) if v != zero), None)
             if t is not None:
                 report.status = "fail"

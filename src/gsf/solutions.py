@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from . import matrices
 from .combinatorics import complement, gon_positions, simplex_positions
 from .errors import ConstructionError, InputError, ReductionError, StructuralError
-from .grassmann import as_table, phi_row
+from .grassmann import as_table, dual_entries, phi_row
 
 
 @dataclass(frozen=True)
@@ -43,32 +43,35 @@ class OperatorSlot:
             raise InputError("only reduced operators carry a parameter")
 
 
+def family_numerators(table, q, use_evens):
+    """The denominator of a family block, the minor at (picks, q), and its
+    n x n signed numerators: at row i and column j (from 1), (-1)^i times
+    the minor at (others_j, picks without picks_i, q).  The picks are the
+    labels other than q at odd places (A, use_evens False) or even places
+    (B), the others the rest.  Never raises: a vanishing denominator is
+    returned as it is."""
+    a = complement(table.n, q)
+    picks, others = list(a[int(use_evens)::2]), a[1 - int(use_evens)::2]
+    neg = table.field.neg
+    out = []
+    for i, pick in enumerate(picks):
+        rest = [x for x in picks if x != pick]
+        row = [table.signed([o] + rest + [q]) for o in others]
+        out.append(row if i % 2 else [neg(v) for v in row])
+    return table.signed(picks + [q]), out
+
+
 def _family_matrix(table, q, use_evens):
-    """The n x n block with entries (-1)^i p_{a', tail} / p_{parity class, q};
-    use_evens False gives A (odd-indexed denominators), True gives B."""
-    n, field = table.n, table.field
-    a = complement(n, q)
-    offset = 1 if use_evens else 0
-    picks = [a[2 * i + offset] for i in range(n)]
-    den = table.signed(list(picks) + [q])
+    """The block of family_numerators: numerators over the denominator."""
+    field = table.field
+    den, nums = family_numerators(table, q, use_evens)
     if den == field.zero:
+        picks = complement(table.n, q)[int(use_evens)::2]
         raise ConstructionError(
             "minor at columns %r vanishes; the construction needs it"
-            % (tuple(sorted(picks + [q])),))
+            % (tuple(sorted(picks + (q,))),))
     inv_den = field.inv(den)
-    out = []
-    for i in range(1, n + 1):
-        row = []
-        for j in range(1, n + 1):
-            other = a[2 * j - 1 - offset]
-            rest = [x for x in picks if x != a[2 * i - 2 + offset]]
-            num = table.signed([other] + rest + [q])
-            val = field.mul(num, inv_den)
-            if i % 2:
-                val = field.neg(val)
-            row.append(val)
-        out.append(row)
-    return out
+    return [[field.mul(v, inv_den) for v in row] for row in nums]
 
 
 # the errors a Construction keeps (as type and arguments) in place of a value
@@ -79,12 +82,12 @@ class Construction:
     """The operator families of one minor table, each built on first use.
 
     It holds A(q) and B(q), with A.B = I checked once per q, R(q), the
-    slot positions and the phi(c, q) coefficient rows, plus whatever a
-    caller files under `cached`.  A build that raises is kept as that
-    raise, so asking again fails the same way.  Z is not kept: no caller
-    asks for the same (q, lam) twice.  Meant to live for one call: nothing
-    is stored on the point or table.  The values handed out are shared and
-    must not be mutated.
+    slot positions, the phi(c, q) coefficient rows and the dual table, plus
+    whatever a caller files under `cached`.  A build that raises is kept as
+    that raise, so asking again fails the same way.  Z is not kept: no
+    caller asks for the same (q, lam) twice.  Meant to live for one call:
+    nothing is stored on the point or table.  The values handed out are
+    shared and must not be mutated.
     """
 
     def __init__(self, x):
@@ -140,7 +143,15 @@ class Construction:
         """The coefficients of phi(c, q) at phi_subsets(q), read by the
         plucker, intertwining and ranks checks."""
         return self.cached(("phi", c, q), lambda: phi_row(
-            self.table, c, q, self.phi_subsets(q)))
+            self.table.entries, self.field, c, q, self.phi_subsets(q)))
+
+    def dual(self):
+        """The dual_entries of the table and the columns of its phi rows:
+        all ascending (n-2)-tuples of labels, none at n = 1."""
+        return self.cached(("dual",), lambda: (
+            dual_entries(self.table),
+            list(itertools.combinations(range(1, 2 * self.n + 2), self.n - 2))
+            if self.n > 1 else []))
 
     def gon_positions(self, q):
         return self.cached(("gon positions", q),
@@ -185,26 +196,20 @@ def build_R(x, q):
     return out
 
 
-def _swap_permutation(field, dim, count):
-    """Identity with the first count positions swapped pairwise."""
-    out = matrices.identity(field, dim)
-    for k in range(0, count, 2):
-        out[k][k] = out[k + 1][k + 1] = field.zero
-        out[k][k + 1] = out[k + 1][k] = field.one
-    return out
+def _swaps(field, count):
+    """count embedded_product blocks swapping positions 0 and 1, 2 and 3..."""
+    swap = ((field.zero, field.one), (field.one, field.zero))
+    return [(swap, (k, k + 1)) for k in range(0, 2 * count, 2)]
 
 
 def factored_r_matrix(x, q):
     """R as a product: A embedded at the odd positions, B at the even ones,
     then the pairwise swap."""
     con = construction(x)
-    n, field = con.n, con.field
-    odds = list(range(1, 2 * n, 2))
-    evens = list(range(2, 2 * n + 1, 2))
-    ae = matrices.embed_block(field, con.A(q), odds, 2 * n)
-    be = matrices.embed_block(field, con.B(q), evens, 2 * n)
-    swap = _swap_permutation(field, 2 * n, 2 * n)
-    return matrices.mat_mul(field, matrices.mat_mul(field, ae, be), swap)
+    dim = 2 * con.n
+    return matrices.embedded_product(
+        con.field, [(con.A(q), range(0, dim, 2)), (con.B(q), range(1, dim, 2))]
+        + _swaps(con.field, con.n), dim)
 
 
 def reduce_matrix(field, rows, lam):
@@ -234,22 +239,19 @@ def reduce_matrix(field, rows, lam):
 def build_Z(x, q, lam):
     """Level-one reduced operator, of size 2n-1, defined for q in 1..2n.
 
-    Built two ways and compared: as the embedded product A P Lambda B, and by
-    eliminating the last row and column of R.
+    Built two ways and compared: as one embedded product of A, the n-1
+    pairwise swaps, lam and B, and by eliminating the last row and column
+    of R.
     """
     con = construction(x)
     n, field = con.n, con.field
     if not 1 <= q <= 2 * n:
         raise InputError("reduced operators exist for q in 1..%d" % (2 * n))
     dim = 2 * n - 1
-    odds = list(range(1, 2 * n, 2))
-    ae = matrices.embed_block(field, con.A(q), odds, dim)
-    be = matrices.embed_block(field, con.B(q), odds, dim)
-    swap = _swap_permutation(field, dim, 2 * n - 2)
-    scale = matrices.identity(field, dim)
-    scale[dim - 1][dim - 1] = lam
-    closed = matrices.mat_mul(field, matrices.mat_mul(
-        field, matrices.mat_mul(field, ae, swap), scale), be)
+    odds = range(0, dim, 2)
+    closed = matrices.embedded_product(
+        field, [(con.A(q), odds)] + _swaps(field, n - 1)
+        + [(((lam,),), (dim - 1,)), (con.B(q), odds)], dim)
     eliminated = reduce_matrix(field, con.R(q), lam)
     if not matrices.mat_eq(closed, eliminated):
         raise StructuralError(

@@ -17,8 +17,7 @@ from . import matrices
 from .combinatorics import (complement, color_classes, gon_factor_labels,
                             gon_inverse_factor_labels, simplex_factor_labels)
 from .errors import ConstructionError, InputError, ReductionError, StructuralError
-from .grassmann import (assumption_check, phi_row, psi_row,
-                        verify_plucker_relations)
+from .grassmann import assumption_check, phi_row, verify_plucker_relations
 from .report import Stopwatch, VerificationReport
 from .solutions import (Construction, OperatorSlot, build_Z, construction,
                         gon_inverse_slot, gon_slot, reduce_matrix,
@@ -231,26 +230,30 @@ def verify_intertwining(x):
     and even positions a_2, a_4, ..., the relations are
     sum_i A_ij phi(a_2i-1) = -phi(a_2j), sum_i B_ij phi(a_2i) = -phi(a_2j-1),
     sum_j A_ij psi(a_2j) = psi(a_2i-1) and sum_j B_ij psi(a_2j-1) = psi(a_2i),
-    each phi and psi taken at (., q) and compared as coefficient rows."""
+    each phi and psi taken at (., q) and compared as coefficient rows.
+
+    psi(c, q) is read as phi(c, q) of the dual table over the (n-2)-subsets
+    without q (grassmann.dual_entries): a sign per column apart, which
+    leaves every relation as it is."""
     watch = Stopwatch()
     con = construction(x)
-    table, n, field = con.table, con.n, con.field
+    n, field = con.n, con.field
     report = VerificationReport("intertwining", {"n": n})
     labels = range(1, 2 * n + 2)
-    ms_all = list(itertools.combinations(labels, n + 3))
     one = field.one
     minus = field.neg(one)
 
     def body():
+        dual, dual_ks = con.dual()
         for q in labels:
             a = complement(n, q)
             a_block = con.A(q)
             b_block = con.B(q)
-            ms = [m for m in ms_all if q in m]
+            ks = [k for k in dual_ks if q not in k]
             phi_odd = [con.phi_row(c, q) for c in a[0::2]]
             phi_even = [con.phi_row(c, q) for c in a[1::2]]
-            psi_odd = [psi_row(table, c, q, ms) for c in a[0::2]]
-            psi_even = [psi_row(table, c, q, ms) for c in a[1::2]]
+            psi_odd = [phi_row(dual, field, c, q, ks) for c in a[0::2]]
+            psi_even = [phi_row(dual, field, c, q, ks) for c in a[1::2]]
             for k in range(n):
                 _relation(field, "phi-A", q, k + 1,
                           [row[k] for row in a_block] + [one],
@@ -270,31 +273,32 @@ def verify_intertwining(x):
 def verify_ranks(x):
     """Span dimensions of the multivector families, as ranks of their
     coefficient rows.  A family that mixes labels q is indexed by every
-    subset of one size, since zero columns leave the rank alone."""
+    subset of one size, since zero columns leave the rank alone; the psi
+    rows are phi rows of the dual table, a sign per column apart."""
     watch = Stopwatch()
     con = construction(x)
-    table, n, field = con.table, con.n, con.field
+    n, field = con.n, con.field
     report = VerificationReport("ranks", {"n": n})
 
     def body():
         labels = range(1, 2 * n + 2)
         ks_all = list(itertools.combinations(labels, n - 1))
+        dual, dual_ks = con.dual()
         cases = [("fixed-%d" % j,
                   [con.phi_row(i, j) for i in labels if i != j], n)
                  for j in labels]
         odds = list(range(1, 2 * n + 2, 2))
         evens = list(range(2, 2 * n + 2, 2))
         cases.append(("odd-even",
-                      [phi_row(table, o, e, ks_all)
+                      [phi_row(con.table.entries, field, o, e, ks_all)
                        for o in odds for e in evens if o < e],
                       n * (n + 1) // 2))
         cases.append(("odd-odd",
-                      [phi_row(table, i, j, ks_all)
+                      [phi_row(con.table.entries, field, i, j, ks_all)
                        for i, j in itertools.combinations(odds, 2)],
                       n * (n + 1) // 2))
-        ms_all = list(itertools.combinations(labels, n + 3))
         cases.append(("even-even",
-                      [psi_row(table, i, j, ms_all)
+                      [phi_row(dual, field, i, j, dual_ks)
                        for i, j in itertools.combinations(evens, 2)],
                       n * (n - 1) // 2))
         for family, rows, expected in cases:
@@ -372,7 +376,7 @@ CHECK_NAMES = tuple(_CHECKS)
 # the kinds of shared value a Construction keeps -> the checks that read them
 _SHARED = {
     ("gon side", "simplex sides"): {"gon", "simplex", "colors", "green"},
-    ("phi", "phi subsets"): {"plucker", "intertwining", "ranks"},
+    ("phi", "phi subsets", "dual"): {"plucker", "intertwining", "ranks"},
 }
 
 
@@ -381,8 +385,8 @@ def run_checks(x, checks=None, lambdas=None, depth=1):
 
     The checks share one Construction, made for this call and dropped with
     it, so each operator, position list, phi row and equation side is built
-    once; the sides and the phi rows are dropped as soon as no later check
-    reads them."""
+    once; the sides, the phi rows and the dual table are dropped as soon
+    as no later check reads them."""
     checks = CHECK_NAMES if checks is None else list(checks)
     unknown = [c for c in checks if c not in CHECK_NAMES]
     if unknown:

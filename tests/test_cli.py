@@ -55,6 +55,37 @@ def test_gen_rejects_a_malformed_seed_env(capsys, monkeypatch):
     assert "GSF_SEED" in err
 
 
+@pytest.mark.parametrize("seed, argv", [
+    (" 1_1 ", ["gen", "--n", "1"]),
+    ("11 ", ["gen", "--n", "1"]),
+    (None, ["gen", "--n", " 0_2"]),
+    (None, ["gen", "--n", "2", "--seed", "1_1"]),
+    (None, ["positions", "--n", "\u0662"]),
+    (None, ["verify", "--point", "TRIGON", "--depth", " 1"]),
+    (None, ["build", "--point", "TRIGON", "--what", "A", "--q", "0_1"]),
+    (None, ["build", "--point", "TRIGON", "--what", "A", "--q", " 1"]),
+], ids=["seed-env-underscored", "seed-env-spaced", "n-underscored",
+        "seed-underscored", "n-arabic-indic-digit", "depth-spaced",
+        "q-underscored", "q-spaced"])
+def test_loose_integer_text_exits_2(capsys, monkeypatch, trigon_point, seed,
+                                    argv):
+    # GSF_SEED and the integer flags read decimal text as strictly as a
+    # point file does: int() would take the spaces, underscores and
+    # non-ASCII digits
+    if seed is None:
+        monkeypatch.delenv("GSF_SEED", raising=False)
+    else:
+        monkeypatch.setenv("GSF_SEED", seed)
+    argv = [trigon_point if a == "TRIGON" else a for a in argv]
+    try:
+        code = main(argv)
+    except SystemExit as e:  # argparse refuses a flag's value itself
+        code = e.code
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert "error:" in captured.err
+
+
 def test_gen_to_file_prints_a_summary(capsys, tmp_path, monkeypatch):
     monkeypatch.delenv("GSF_SEED", raising=False)
     path = tmp_path / "point.json"
@@ -66,7 +97,7 @@ def test_gen_to_file_prints_a_summary(capsys, tmp_path, monkeypatch):
     assert summary["vanishing"] == 0
     assert summary["field"] == "q"
     assert summary["out"] == str(path)
-    assert json.load(open(path))["n"] == 2
+    assert json.loads(path.read_text())["n"] == 2
 
 
 def test_gen_fails_cleanly_when_no_point_exists(capsys, monkeypatch):
@@ -220,7 +251,8 @@ def test_verify_accepts_reduction_parameters(capsys, trigon_point):
 
 
 def test_verify_flags_a_corrupted_table(capsys, tmp_path, trigon_point):
-    obj = json.load(open(trigon_point))
+    with open(trigon_point) as fh:
+        obj = json.load(fh)
     obj["pluecker"] = [{"indices": [1, 2, 4], "value": "0"}]
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(obj))
@@ -232,7 +264,7 @@ def test_verify_flags_a_corrupted_table(capsys, tmp_path, trigon_point):
     code, _, _ = run(capsys, ["gen", "--n", "2", "--seed", "9",
                               "--out", str(point2)])
     assert code == 0
-    obj = json.load(open(point2))
+    obj = json.loads(point2.read_text())
     obj["pluecker"] = [{"indices": [1, 2, 3], "value": "81"}]
     bad2 = tmp_path / "bad2.json"
     bad2.write_text(json.dumps(obj))
@@ -292,7 +324,8 @@ def test_verify_flags_a_corrupted_table(capsys, tmp_path, trigon_point):
         "prime-spaced", "prime-sign-underscore", "extension-underscored",
         "extension-coefficient-spaced"])
 def test_verify_malformed_point_exits_2(capsys, tmp_path, trigon_point, edit):
-    obj = json.load(open(trigon_point))
+    with open(trigon_point) as fh:
+        obj = json.load(fh)
     obj.update(edit)
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(obj))
@@ -363,7 +396,7 @@ def test_positions_combined_and_file_output(capsys, tmp_path):
     code, out, _ = run(capsys, ["positions", "--n", "1", "--out", str(path)])
     assert code == 0
     assert out == ""
-    obj = json.load(open(path))
+    obj = json.loads(path.read_text())
     assert set(obj) == {"n", "gon", "simplex", "colors"}
     assert obj["gon"] == {"1": [1], "2": [1], "3": [1]}
 
@@ -375,4 +408,4 @@ def test_build_output_to_file_is_byte_identical(capsys, tmp_path, trigon_point):
     run(capsys, ["build", "--point", trigon_point, "--what", "B",
                  "--out", str(b)])
     assert a.read_bytes() == b.read_bytes()
-    assert json.load(open(a))["entries"]["1"]["matrix"] == [["3"]]
+    assert json.loads(a.read_text())["entries"]["1"]["matrix"] == [["3"]]

@@ -157,32 +157,46 @@ def test_rational_edge_cases_equal_the_plain_products():
         assert verify.side_product(slots, dim) == plain_side(slots, dim)
 
 
+def _scalar(field, text):
+    """The field element text names: an integer, or an integer over one."""
+    num, _, den = text.partition("/")
+    value = field.parse(num)
+    return field.mul(value, field.inv(field.parse(den))) if den else value
+
+
 @pytest.mark.parametrize("lam", ["0", "1", "7", "1/3"])
 def test_rational_Z_equals_its_elimination_and_its_plain_factored_form(
-        rational_points, lam):
-    field = rational_points[1].field
-    lam = Fraction(lam)
-    for n, point in rational_points.items():
-        dim = 2 * n - 1
-        odds = list(range(1, 2 * n, 2))
-        for q in range(1, 2 * n + 1):
-            z = solutions.build_Z(point, q, lam)
-            assert z == solutions.reduce_matrix(
-                field, solutions.build_R(point, q), lam)
-            ae = matrices.embed_block(field, solutions.build_A(point, q),
-                                      odds, dim)
-            be = matrices.embed_block(field, solutions.build_B(point, q),
-                                      odds, dim)
-            swap = matrices.identity(field, dim)
-            for k in range(0, 2 * n - 2, 2):
-                swap[k][k] = swap[k + 1][k + 1] = field.zero
-                swap[k][k + 1] = swap[k + 1][k] = field.one
-            scale = matrices.identity(field, dim)
-            scale[dim - 1][dim - 1] = lam
-            factored = ae
-            for factor in (swap, scale, be):
-                factored = plain_product(field, factored, factor)
-            assert z == factored
+        rational_points, mod11_points, lam):
+    # over Q, and over gf(11) and gf(7,2;1,0,1) as well; R likewise
+    ext = field_create("gf(7,2;1,0,1)")
+    ext_points = {n: random_point(n, ext, seed=3000 + n) for n in (1, 2, 3)}
+    for points in (rational_points, mod11_points, ext_points):
+        field = points[1].field
+        value = _scalar(field, lam)
+        for n, point in points.items():
+            dim = 2 * n - 1
+            odds = list(range(1, 2 * n, 2))
+            for q in range(1, 2 * n + 2):
+                assert solutions.factored_r_matrix(point, q) == \
+                    solutions.build_R(point, q)
+            for q in range(1, 2 * n + 1):
+                z = solutions.build_Z(point, q, value)
+                assert z == solutions.reduce_matrix(
+                    field, solutions.build_R(point, q), value)
+                ae = matrices.embed_block(field, solutions.build_A(point, q),
+                                          odds, dim)
+                be = matrices.embed_block(field, solutions.build_B(point, q),
+                                          odds, dim)
+                swap = matrices.identity(field, dim)
+                for k in range(0, 2 * n - 2, 2):
+                    swap[k][k] = swap[k + 1][k + 1] = field.zero
+                    swap[k][k + 1] = swap[k + 1][k] = field.one
+                scale = matrices.identity(field, dim)
+                scale[dim - 1][dim - 1] = value
+                factored = ae
+                for factor in (swap, scale, be):
+                    factored = plain_product(field, factored, factor)
+                assert z == factored, (field.descriptor(), n, q)
 
 
 # Mutants of the kernel that extension fields run (row_product) and of the
@@ -364,17 +378,24 @@ def test_the_phi_readers_in_any_order_match_each_check_alone(descriptor, n):
 
 
 def _count_phi_rows(monkeypatch):
-    """Count grassmann.phi_row calls by (c, q, subsets), under every module
-    name bound to it."""
+    """Count grassmann.phi_row calls by (key size of the entries, c, q,
+    subsets), under every module name bound to it, and the dual tables
+    built, under the key "dual"."""
     built = Counter()
-    fn = grassmann.phi_row
+    fn, dual_fn = grassmann.phi_row, grassmann.dual_entries
 
-    def counting(table, c, q, subsets):
-        built[c, q, tuple(subsets)] += 1
-        return fn(table, c, q, subsets)
+    def counting(entries, field, c, q, subsets):
+        built[len(next(iter(entries))), c, q, tuple(subsets)] += 1
+        return fn(entries, field, c, q, subsets)
+
+    def counting_dual(table):
+        built["dual"] += 1
+        return dual_fn(table)
     for module in (grassmann, solutions, verify):
         if getattr(module, "phi_row", None) is fn:
             monkeypatch.setattr(module, "phi_row", counting)
+        if getattr(module, "dual_entries", None) is dual_fn:
+            monkeypatch.setattr(module, "dual_entries", counting_dual)
     return built
 
 
@@ -386,11 +407,23 @@ def test_each_phi_row_is_built_once_per_call(monkeypatch, descriptor):
     verify.run_checks(point)
     assert set(built.values()) == {1}
     labels = range(1, 2 * n + 2)
-    without = {(c, q) for c, q, subsets in built
+    pairs = {(c, q) for c in labels for q in labels if c != q}
+    table_rows = [key[1:] for key in built if key[0] == n + 1]
+    dual_rows = [key[1:] for key in built if key[0] == n]
+    without = {(c, q) for c, q, subsets in table_rows
                if len(subsets) == math.comb(2 * n, n - 1)}
-    assert without == {(c, q) for c in labels for q in labels if c != q}
+    assert without == pairs
     # plus the odd-even and odd-odd families of ranks, over all subsets
-    assert len(built) == len(without) + n * (n + 1)
+    assert len(table_rows) == len(without) + n * (n + 1)
+    # the psi rows of intertwining, over the dual's (n-2)-subsets without
+    # q, and the even-even family of ranks, over all of them
+    dual_without = {(c, q) for c, q, subsets in dual_rows
+                    if len(subsets) == math.comb(2 * n, n - 2)}
+    assert dual_without == pairs
+    assert len(dual_rows) == len(dual_without) + math.comb(n, 2)
+    # and one dual table
+    assert len(built) == len(table_rows) + len(dual_rows) + 1
+    assert built["dual"] == 1
     # nothing outlives the call: a second call builds every row again
     first = dict(built)
     built.clear()
@@ -405,14 +438,17 @@ def test_no_phi_row_is_kept_once_ranks_has_run(monkeypatch, mod11_points):
         fn = getattr(verify, check)
 
         def spying(con, *args, _check=check, _fn=fn, **kw):
-            kept[_check] = [k for k in con._memo
-                            if k[0] in ("phi", "phi subsets")]
+            kept[_check] = [k for k in con._memo if k[0] in (
+                "phi", "phi subsets", "dual")]
             return _fn(con, *args, **kw)
         monkeypatch.setattr(verify, check, spying)
     verify.run_checks(point)
-    # plucker's rows are there for intertwining, and gone after ranks
+    # plucker's rows are there for intertwining, the dual table too once
+    # intertwining has run, and all gone after ranks
     labels = 2 * point.n + 1
     assert len(kept["verify_intertwining"]) == labels * (labels - 1) + labels
+    assert ("dual",) in kept["verify_ranks"]
+    assert len(kept["verify_ranks"]) == labels * (labels - 1) + labels + 1
     assert kept["verify_reduction"] == []
 
 

@@ -16,10 +16,12 @@ from gsf.combinatorics import complement
 from gsf.errors import ConstructionError, SamplingError, StructuralError
 from gsf.exterior import span_rank
 from gsf.field import field_create
-from gsf.grassmann import (GrassmannPoint, as_table, phi, phi_row, psi,
-                           psi_row, random_point, verify_plucker_relations)
+from gsf import grassmann, solutions, verify
+from gsf.grassmann import (GrassmannPoint, as_table, dual_entries, phi,
+                           phi_row, psi, random_point,
+                           verify_plucker_relations)
 from gsf.matrices import combine
-from gsf.solutions import build_A, build_B
+from gsf.solutions import Construction, build_A, build_B
 from gsf.verify import verify_intertwining, verify_ranks
 
 FIELDS = ["q", "gf(11)", "gf(7,2;1,0,1)", "gf(2,2;1,1,1)"]
@@ -148,27 +150,39 @@ def variants(point):
                 field, point.matrix, table.with_entry(key, new)))
 
 
+def _inversions(seq):
+    return sum(1 for i, u in enumerate(seq) for v in seq[i + 1:] if u > v)
+
+
 @pytest.mark.parametrize("descriptor", FIELDS)
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_rows_equal_the_multivector_coefficients(descriptor, n):
     field = field_create(descriptor)
     point = sample_point(field, n, seed=31 * n)
     table = point.table
+    dual = dual_entries(table)
     labels = range(1, 2 * n + 2)
     ks = list(itertools.combinations(labels, n - 1))
     ms = list(itertools.combinations(labels, n + 3))
+    # psi at M is read as phi of the dual at M^c, times eps(M, M^c)
+    comps = [tuple(v for v in labels if v not in m) for m in ms]
+    odd = [_inversions(m + k) % 2 for m, k in zip(ms, comps)]
+    assert sorted(comps) == Construction(point).dual()[1]
     for q in labels:
         for c in labels:
             if c == q:
                 continue
             want_phi = phi(point, c, q)
             want_psi = psi(point, c, q)
-            assert phi_row(table, c, q, ks) == [want_phi.coefficient(k)
-                                                 for k in ks]
-            assert psi_row(table, c, q, ms) == [want_psi.coefficient(m)
-                                                 for m in ms]
+            assert phi_row(table.entries, field, c, q, ks) == [
+                want_phi.coefficient(k) for k in ks]
+            dual_row = phi_row(dual, field, c, q, comps)
+            assert [field.neg(v) if o else v
+                    for v, o in zip(dual_row, odd)] == [
+                want_psi.coefficient(m) for m in ms]
             # the checks index phi(., q) only by sets avoiding q and
-            # psi(., q) only by sets holding q; the rest is zero
+            # psi(., q) only by sets holding q, whose complements avoid q;
+            # the rest is zero
             assert all(want_phi.coefficient(k) == field.zero
                        for k in ks if q in k)
             assert all(want_psi.coefficient(m) == field.zero
@@ -209,3 +223,62 @@ def test_reference_comparison_covers_failures():
     assert ("verify_plucker_relations", "fail") in statuses
     assert ("verify_intertwining", "fail") in statuses
     assert ("verify_plucker_relations", "pass") in statuses
+
+
+PHI_ROW = grassmann.phi_row
+FAMILY_NUMERATORS = solutions.family_numerators
+
+
+def _dual_without_its_sign(table):
+    """The dual table with every entry p_{S^c}, its sign dropped."""
+    labels = range(1, 2 * table.n + 2)
+    return {tuple(v for v in labels if v not in key): value
+            for key, value in table.entries.items()}
+
+
+def _dual_rows_at_sets_holding_q(entries, field, c, q, subsets):
+    """phi_row with the dual's rows read at the (n-2)-subsets that hold q,
+    where every dual row vanishes, in place of those without q."""
+    size, top = len(next(iter(entries))), max(max(k) for k in entries)
+    if 2 * size + 1 == top and size >= 2:
+        # keyed by n-tuples of 2n+1 labels: the dual
+        subsets = [k for k in itertools.combinations(range(1, top + 1),
+                                                     size - 2) if q in k]
+    return PHI_ROW(entries, field, c, q, subsets)
+
+
+def _a_numerators(table, q, use_evens):
+    return FAMILY_NUMERATORS(table, q, use_evens=False)
+
+
+# mutant -> (the binding it replaces, the check whose comparison with its
+# reference must fail)
+ROW_MUTANTS = {
+    _dual_without_its_sign: (solutions, "dual_entries", verify_intertwining),
+    _dual_rows_at_sets_holding_q:
+        (verify, "phi_row", verify_intertwining),
+    _a_numerators:
+        (solutions, "family_numerators", verify_plucker_relations),
+}
+REFERENCES = {verify_intertwining: reference_intertwining,
+              verify_plucker_relations: reference_plucker}
+
+
+@pytest.mark.parametrize("mutant", list(ROW_MUTANTS),
+                         ids=lambda m: m.__name__)
+def test_reference_comparison_catches_a_broken_row_reader(monkeypatch,
+                                                          mutant):
+    # with the dual's sign dropped, the psi rows read where they vanish, or
+    # plucker weighted by A's numerators in place of B's, some variant's
+    # report must differ from the multivector reference
+    module, name, check = ROW_MUTANTS[mutant]
+    reference = REFERENCES[check]
+    field = field_create("gf(11)")
+    xs = [x for n in (2, 3) for seed in (0, 1)
+          for _, x in variants(sample_point(field, n, seed))]
+    monkeypatch.setattr(module, name, mutant)
+    for x in xs:
+        report = check(x)
+        if (report.status, report.witness) != reference(x):
+            return
+    pytest.fail("every report equals the reference")
