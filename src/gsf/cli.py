@@ -103,6 +103,8 @@ def cmd_verify(args):
     checks = None
     if args.checks and args.checks != "all":
         checks = [c.strip() for c in args.checks.split(",") if c.strip()]
+        if not checks:
+            raise InputError("--checks %r names no check" % args.checks)
     lambdas = None
     if args.lam:
         lambdas = [field.parse(s) for s in args.lam.split(",")]

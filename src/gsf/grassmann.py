@@ -81,10 +81,10 @@ def pluecker_table(field, rows):
     check_n(n)
     if any(len(r) != 2 * n + 1 for r in rows):
         raise InputError("matrix must be (n+1) x (2n+1)")
-    # maximal_minors keys its minors in lexicographic order
+    # maximal_minors lists its minors in lexicographic column order
     minors = matrices.maximal_minors(field, rows)
     keys = itertools.combinations(range(1, 2 * n + 2), n + 1)
-    return PlueckerTable(field, n, dict(zip(keys, minors.values())))
+    return PlueckerTable(field, n, dict(zip(keys, minors)))
 
 
 class GrassmannPoint:
@@ -245,10 +245,19 @@ def point_to_json(point):
     return out
 
 
+def _json_list(value, what):
+    """The value if it is a JSON list; text or an object would iterate as
+    characters or keys."""
+    if not isinstance(value, list):
+        raise InputError("%s must be a list" % what)
+    return value
+
+
 def point_from_json(obj):
     try:
         field = field_from_json(obj["field"])
-        matrix = [[field.parse(v) for v in row] for row in obj["matrix"]]
+        matrix = [[field.parse(v) for v in _json_list(row, "a matrix row")]
+                  for row in _json_list(obj["matrix"], "the matrix")]
     except (KeyError, TypeError) as e:
         raise InputError("malformed point record") from e
     table = None
@@ -257,9 +266,9 @@ def point_from_json(obj):
         check_n(n)
         entries = dict(pluecker_table(field, matrix).entries)
         try:
-            for rec in obj["pluecker"]:
-                indices = tuple(json_integer(i, "a minor index")
-                                for i in rec["indices"])
+            for rec in _json_list(obj["pluecker"], "pluecker"):
+                indices = tuple(json_integer(i, "a minor index") for i in
+                                _json_list(rec["indices"], "indices"))
                 value = field.parse(rec["value"])
                 if indices not in entries:
                     raise InputError("no minor at columns %r" % (indices,))

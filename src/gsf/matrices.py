@@ -6,7 +6,8 @@ mutates its inputs.
 Over Q and over GF(p) the products, combinations, ranks and maximal minors
 run on plain Python integers: over Q on numerators over a common
 denominator, over GF(p) on residues reduced once per output entry.  GF(p^k)
-goes through the field's own methods.
+goes through the field's own methods; the maximal minors take one Laplace
+body for all three, given the ring's operations.
 """
 
 import functools
@@ -211,22 +212,24 @@ def embed_block(field, block, positions, dim):
 
 
 def maximal_minors(field, rows):
-    """All maximal minors of a wide matrix, keyed by 0-based column tuples
-    in lexicographic order.
+    """All maximal minors of a wide matrix, as a list in lexicographic order
+    of their column choices.
 
-    Row-at-a-time Laplace expansion, so the whole computation is division
-    free.  Over GF(p) it runs on residues, each minor reduced once; over Q
-    on each row's integer numerators over its own denominator, with one
-    Fraction made per minor; GF(p^k) goes through the field's methods.
+    One row-at-a-time Laplace expansion, division free, serves every field:
+    over GF(p) it runs on residues, each minor reduced once; over Q on each
+    row's integer numerators over its own denominator, with one Fraction
+    made per minor; over GF(p^k) through the field's own operations.
     """
-    keys = itertools.combinations(range(len(rows[0])), len(rows))
     if field.kind == "prime":
-        return dict(zip(keys, _integer_minors(rows, field.p)))
+        p = field.p
+        return _laplace(rows, operator.mul, operator.add, operator.sub,
+                        operator.neg, lambda values: [v % p for v in values])
     if field.kind == "rationals":
         nums, dens = zip(*map(cleared, rows))
-        return dict(zip(keys, _fractions(_integer_minors(nums),
-                                         math.prod(dens))))
-    return _maximal_minors_generic(field, rows)
+        return _fractions(_laplace(nums, operator.mul, operator.add,
+                                   operator.sub, operator.neg, list),
+                          math.prod(dens))
+    return _laplace(rows, field.mul, field.add, field.sub, field.neg, list)
 
 
 # the terms depend on the shape only, so repeated draws and loads at one n
@@ -248,47 +251,25 @@ def _laplace_terms(ncols, r):
                  for t, col in enumerate(zip(*subsets)))
 
 
-def _integer_minors(rows, p=None):
-    """The maximal minors of an integer matrix in lexicographic column
-    order, each sum of products reduced mod p once when p is given."""
+def _laplace(rows, mul, add, sub, neg, reduce):
+    """The maximal minors of a matrix over a ring given by its operations,
+    in lexicographic column order; reduce maps each row's list of minors,
+    the first row's entries included, to the values kept."""
     ncols = len(rows[0])
     if len(rows) > ncols:
         return []
-    prev = [v % p for v in rows[0]] if p else list(rows[0])
+    prev = reduce(rows[0])
     for r, row in enumerate(rows[1:], start=2):
         acc = None
         for t, (col, drop) in enumerate(_laplace_terms(ncols, r)):
-            terms = map(operator.mul, map(row.__getitem__, col),
+            terms = map(mul, map(row.__getitem__, col),
                         map(prev.__getitem__, drop))
             odd = (r - 1 + t) % 2
             if acc is None:
-                acc = [-v for v in terms] if odd else list(terms)
+                acc = list(map(neg, terms)) if odd else list(terms)
             else:
-                acc = list(map(operator.sub if odd else operator.add,
-                               acc, terms))
-        prev = [v % p for v in acc] if p else acc
-    return prev
-
-
-def _maximal_minors_generic(field, rows):
-    """maximal_minors through the field's own add, mul and neg."""
-    ncols = len(rows[0])
-    zero = field.zero
-    prev = {(): field.one}
-    for r, row in enumerate(rows, start=1):
-        cur = {}
-        for cols in itertools.combinations(range(ncols), r):
-            acc = zero
-            for t, c in enumerate(cols):
-                sub = prev[cols[:t] + cols[t + 1:]]
-                if sub == zero or row[c] == zero:
-                    continue
-                term = field.mul(row[c], sub)
-                if (r - 1 + t) % 2:
-                    term = field.neg(term)
-                acc = field.add(acc, term)
-            cur[cols] = acc
-        prev = cur
+                acc = list(map(sub if odd else add, acc, terms))
+        prev = reduce(acc)
     return prev
 
 

@@ -217,10 +217,12 @@ def test_verify_checks_subset_and_all(capsys, trigon_point):
     assert code == 0
     obj = json.loads(out)
     assert [r["check"] for r in obj["reports"]] == ["simplex", "gon"]
-    code, out, _ = run(capsys, ["verify", "--point", trigon_point,
-                                "--checks", "all"])
-    assert code == 0
-    assert len(json.loads(out)["reports"]) == 9
+    # an empty --checks means all, as when the flag is left out
+    for checks in ["all", ""]:
+        code, out, _ = run(capsys, ["verify", "--point", trigon_point,
+                                    "--checks", checks])
+        assert code == 0
+        assert len(json.loads(out)["reports"]) == 9
 
 
 def test_verify_rejects_unknown_checks(capsys, trigon_point):
@@ -228,6 +230,14 @@ def test_verify_rejects_unknown_checks(capsys, trigon_point):
                                 "--checks", "gon,frobnication"])
     assert code == 2
     assert "frobnication" in err
+
+
+@pytest.mark.parametrize("checks", [",", " ", " , ,"])
+def test_verify_refuses_checks_that_name_no_check(capsys, trigon_point,
+                                                  checks):
+    code, out, err = run(capsys, ["verify", "--point", trigon_point,
+                                  "--checks", checks])
+    assert (code, out) == (2, "") and err.startswith("error:")
 
 
 @pytest.mark.parametrize("lam", ["1_0", " 1", "1.5", "7/-3", "1e2"])
@@ -314,6 +324,10 @@ def test_verify_flags_a_corrupted_table(capsys, tmp_path, trigon_point):
      "matrix": [["1_0:0", "1", "0"], ["0", "1", "1"]]},
     {"field": {"kind": "extension", "p": 3, "k": 2, "modulus": [1, 0, 1]},
      "matrix": [[["1", " 0"], "1", "0"], ["0", "1", "1"]]},
+    {"field": {"kind": "prime", "p": 7}, "matrix": ["150", "041"]},
+    {"field": {"kind": "prime", "p": 7}, "matrix": {"150": 0, "041": 1}},
+    {"pluecker": [{"indices": "12", "value": "1"}]},
+    {"pluecker": [{"indices": {"1": 0, "2": 0}, "value": "1"}]},
 ], ids=["no-indices", "no-value", "text-index", "float-index",
         "record-not-object", "list-not-array", "n-text", "n-float",
         "p-float", "p-integral-float", "p-bool", "extension-p-float",
@@ -322,7 +336,8 @@ def test_verify_flags_a_corrupted_table(capsys, tmp_path, trigon_point):
         "n-spaced", "index-spaced", "q-underscored", "q-spaced",
         "q-decimal", "q-denominator-underscored", "q-arabic-indic-digit",
         "prime-spaced", "prime-sign-underscore", "extension-underscored",
-        "extension-coefficient-spaced"])
+        "extension-coefficient-spaced", "rows-text", "matrix-object",
+        "indices-text", "indices-object"])
 def test_verify_malformed_point_exits_2(capsys, tmp_path, trigon_point, edit):
     with open(trigon_point) as fh:
         obj = json.load(fh)

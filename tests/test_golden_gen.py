@@ -3,8 +3,9 @@
 The fixture, golden_gen.json, holds the exit code, standard output,
 standard error and written point file of `gsf gen --n N --field F --seed S
 --out point.json` for q, gf(11), gf(1000003), gf(7,2;1,0,1) and
-gf(3,2;1,0,1) at n = 1..4 and seeds 0 and 1, plus the sampling failure of
-gf(2) at n = 2.  A change to the sampler or to the minor kernel must leave
+gf(3,2;1,0,1) at n = 1..4, gf(5,3;1,1,0,1) at n = 1..3 and gf(2,2;1,1,1) at
+n = 1, 2, each at seeds 0 and 1, plus the sampling failure of gf(2) at
+n = 2.  A change to the sampler or to the minor kernel must leave
 every byte of it unchanged: the same draws, the same order of tries, the
 same accepted matrix.
 
@@ -30,10 +31,14 @@ import pytest
 from gsf import cli, grassmann
 
 FIXTURE = pathlib.Path(__file__).with_name("golden_gen.json")
-FIELDS = ["q", "gf(11)", "gf(1000003)", "gf(7,2;1,0,1)", "gf(3,2;1,0,1)"]
+# each field with the n it is run at
+GRID = {"q": (1, 2, 3, 4), "gf(11)": (1, 2, 3, 4),
+        "gf(1000003)": (1, 2, 3, 4), "gf(7,2;1,0,1)": (1, 2, 3, 4),
+        "gf(3,2;1,0,1)": (1, 2, 3, 4), "gf(5,3;1,1,0,1)": (1, 2, 3),
+        "gf(2,2;1,1,1)": (1, 2)}
 CAPPED = {("gf(11)", 4), ("gf(3,2;1,0,1)", 4)}
 CAP = 100
-CASES = [(d, n, s) for d in FIELDS for n in (1, 2, 3, 4) for s in (0, 1)]
+CASES = [(d, n, s) for d, ns in GRID.items() for n in ns for s in (0, 1)]
 CASES.append(("gf(2)", 2, 0))
 
 

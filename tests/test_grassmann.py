@@ -379,6 +379,16 @@ def _loose_texts(record):
     return [t for t in texts(parts) if not STRICT_TEXT.fullmatch(t)]
 
 
+def _list_shaped(record):
+    """Whether the matrix, each of its rows, the pluecker records and each
+    record's indices are JSON lists; text or an object would iterate as
+    characters or keys."""
+    matrix, recs = record["matrix"], record.get("pluecker", [])
+    return isinstance(matrix, list) and isinstance(recs, list) \
+        and all(isinstance(row, list) for row in matrix) \
+        and all(isinstance(rec["indices"], list) for rec in recs)
+
+
 MATRIX_N1 = [[1, 0, 1], [0, 1, 1]]
 
 
@@ -406,6 +416,13 @@ MATRIX_N1 = [[1, 0, 1], [0, 1, 1]]
 @example({"field": {"kind": "extension", "p": 3, "k": 2,
                     "modulus": [True, False, True]},
           "matrix": [[1, 0, 1], [0, 1, 1]]})
+@example({"field": "gf(11)", "matrix": ["102", "013"]})
+@example({"field": "gf(11)", "matrix": {"102": 0, "013": 1}})
+@example({"field": "q", "matrix": MATRIX_N1,
+          "pluecker": [{"indices": "12", "value": "1"}]})
+@example({"field": "q", "matrix": MATRIX_N1,
+          "pluecker": [{"indices": {"1": 0, "2": 0}, "value": "1"}]})
+@example({"field": "q", "matrix": MATRIX_N1, "pluecker": {}})
 def test_point_from_json_raises_input_error_or_returns_a_point(obj):
     try:
         point = point_from_json(obj)
@@ -414,4 +431,5 @@ def test_point_from_json_raises_input_error_or_returns_a_point(obj):
     assert isinstance(point, GrassmannPoint)
     assert not _inexact_parameter(obj.get("field"))
     assert not _loose_texts(obj)
+    assert _list_shaped(obj)
     assert len(point.table.entries) == math.comb(2 * point.n + 1, point.n + 1)

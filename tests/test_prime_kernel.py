@@ -20,7 +20,10 @@ PRIMES = ["gf(2)", "gf(11)", "gf(1000003)"]
 
 class FieldMethods:
     """The field as the matrix helpers see a field that is neither Q nor
-    GF(p): every helper then takes its field-method path."""
+    GF(p), such as GF(p^k): every helper then takes its field-method path.
+    For maximal_minors that is the one Laplace body given the field's own
+    operations, so comparing with it checks integer arithmetic against
+    field arithmetic, not the expansion itself."""
 
     kind = "generic"
 
